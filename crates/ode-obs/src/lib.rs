@@ -29,7 +29,7 @@
 //! Counters aggregate; they cannot explain any *single* firing. The
 //! always-on [`FlightRecorder`] keeps the last N trace occurrences in a
 //! fixed-capacity ring of compact owned records ([`FlightRecord`]),
-//! written lock-free by any number of concurrent threads and snapshotted
+//! written without locks by any number of concurrent threads and snapshotted
 //! on demand ([`Metrics::flight_log`]). Each record carries a monotonic
 //! timestamp and the causal ids (txn, trigger, FSM states, LSN) needed to
 //! reconstruct the chain *posted event → FSM advances (incl. mask
@@ -626,13 +626,15 @@ struct FlightSlot {
 // exact completed value both before and after the volatile read.
 unsafe impl Sync for FlightSlot {}
 
-/// A bounded, lock-free, always-on ring buffer of [`FlightRecord`]s.
+/// A bounded, always-on ring buffer of [`FlightRecord`]s.
 ///
-/// Writers claim a slot with one `fetch_add` and publish through a
-/// per-slot seqlock (odd version while writing, even when complete), so
-/// recording never blocks and never allocates. [`snapshot`] returns the
-/// surviving window oldest-first; records a lapping writer was mid-way
-/// through overwriting are skipped rather than surfaced torn.
+/// Writers claim a sequence number with one `fetch_add` and publish
+/// through a per-slot seqlock (odd version while writing, even when
+/// complete), so recording never allocates and blocks only in one rare
+/// case: a writer whose slot is still being written by a writer a full lap
+/// behind waits for it. [`snapshot`] returns the surviving window
+/// oldest-first; records a lapping writer was mid-way through overwriting
+/// are skipped rather than surfaced torn.
 ///
 /// [`snapshot`]: FlightRecorder::snapshot
 pub struct FlightRecorder {
@@ -672,21 +674,46 @@ impl FlightRecorder {
         self.head.load(Ordering::Acquire)
     }
 
-    /// Append one record. Lock-free: one `fetch_add` to claim a slot,
-    /// then a seqlock-guarded plain write.
+    /// Append one record: one `fetch_add` to claim a sequence number, a
+    /// compare-and-swap to claim its slot, then a seqlock-guarded plain
+    /// write.
     pub fn record(&self, event: FlightEvent) {
         let nanos = self.origin.elapsed().as_nanos() as u64;
         let (trace_id, span_id) = ode_trace::current_ids();
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq & self.mask) as usize];
-        slot.version.store(2 * seq + 1, Ordering::Relaxed);
+        let writing = 2 * seq + 1;
+        // Claim the slot. Its version only grows: a writer that finds a
+        // newer record's version has been lapped (its record already left
+        // the window) and drops the record; one that finds an older record
+        // still being written waits for it. So no two writers copy into a
+        // slot at once, and a stalled writer can never overwrite — and lose
+        // — a newer record once it resumes.
+        let mut current = slot.version.load(Ordering::Relaxed);
+        loop {
+            if current > writing {
+                return;
+            }
+            if current % 2 == 1 {
+                std::thread::yield_now();
+                current = slot.version.load(Ordering::Relaxed);
+                continue;
+            }
+            // Acquire: the previous record's copy-in happens before ours.
+            match slot.version.compare_exchange_weak(
+                current,
+                writing,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(seen) => current = seen,
+            }
+        }
         fence(Ordering::Release);
-        // SAFETY: the slot is marked write-in-progress (odd version);
-        // readers validate the version on both sides of their copy and
-        // discard mismatches, so a torn value is never observed. If a
-        // lapping writer races this store, both records' reads fail
-        // validation and the slot is skipped — data loss bounded to the
-        // colliding slot, never a torn read.
+        // SAFETY: this writer alone holds the slot (odd version, claimed
+        // above); readers validate the version on both sides of their copy
+        // and discard mismatches, so a torn value is never observed.
         unsafe {
             *slot.data.get() = FlightRecord {
                 seq,
@@ -765,7 +792,7 @@ macro_rules! metrics {
     ) => {
         /// The engine-wide metrics registry. One instance per database,
         /// shared by all layers; counters, gauges, and histograms are
-        /// relaxed atomics, and the embedded flight recorder is lock-free.
+        /// relaxed atomics, and the embedded flight recorder takes no locks.
         pub struct Metrics {
             $( $(#[doc = $cdoc])+ pub $cname: Counter, )+
             $( $(#[doc = $gdoc])+ pub $gname: Gauge, )+

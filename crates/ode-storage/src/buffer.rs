@@ -26,8 +26,14 @@
 //! counter 1 and is reclaimed after one sweep, while the trigger
 //!-descriptor working set (hit repeatedly, pinned near 3) survives a
 //! larger-than-RAM scan — the scan resistance plain second-chance lacks.
-//! Clean frames at counter zero are evicted first; a dirty frame at
-//! counter zero is remembered as the steal fallback.
+//! The first frame the hand reaches at counter zero is the victim, clean
+//! or dirty: a clean one is dropped, a dirty one is stolen under the WAL
+//! rule. Cleanliness does not buy a frame another lap. Trigger processing
+//! turns reads into writes, so under a spilling trigger workload nearly
+//! every frame is dirty, and a search for a *clean* zero-count frame
+//! would decay the whole clock on every miss and degrade GCLOCK to FIFO.
+//! A pool with no WAL passes over dirty frames and, after one bounded
+//! sweep with no clean victim, grows.
 //!
 //! ## Partitioning
 //!
@@ -255,82 +261,62 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Make room for one frame. Preference order: a clean frame at
-    /// reference count zero (plain eviction); failing that, with a WAL
-    /// attached, a dirty frame at reference count zero is *stolen* —
-    /// WAL flushed through its page LSN, image written back (journaled),
-    /// frame dropped. With no WAL the shard grows (no-steal).
+    /// Make room for one frame. The hand sweeps, decrementing reference
+    /// counts, and the first frame it reaches at count zero is the
+    /// victim: a clean one is dropped; a dirty one is *stolen* — WAL
+    /// flushed through its page LSN, image written back (journaled),
+    /// frame dropped. With no WAL the sweep passes over dirty frames and,
+    /// finding no clean victim, lets the shard grow (no-steal).
     fn evict_one(&self, inner: &mut PoolInner) -> Result<()> {
-        let mut steps = 0;
-        let mut dirty_victim: Option<PageId> = None;
-        // Enough sweeps for a saturated reference counter to decay to
+        // Enough steps for a saturated reference counter to decay to
         // zero, plus the finding sweep.
         let max_steps = inner
             .clock
             .len()
             .saturating_mul(MAX_REF as usize + 1)
             .max(1);
-        while steps < max_steps {
-            if inner.clock.is_empty() {
+        let mut steps = 0;
+        let idx = loop {
+            if inner.clock.is_empty() || steps >= max_steps {
                 return Ok(());
             }
             let idx = inner.hand % inner.clock.len();
             let id = inner.clock[idx];
-            match inner.frames.get_mut(&id) {
-                None => {
-                    // Stale clock entry; prune without advancing the hand.
-                    inner.clock.swap_remove(idx);
-                    continue;
-                }
-                Some(frame) => {
-                    if frame.refbits == 0 {
-                        if !frame.dirty {
-                            inner.frames.remove(&id);
-                            inner.clock.swap_remove(idx);
-                            inner.evictions += 1;
-                            self.note_resident(-1);
-                            self.metrics.buf_evictions.inc();
-                            self.metrics
-                                .emit(|| TraceEvent::BufferEviction { page: id });
-                            return Ok(());
-                        }
-                        if dirty_victim.is_none() {
-                            dirty_victim = Some(id);
-                        }
-                    } else {
-                        frame.refbits -= 1;
-                    }
-                    inner.hand = (idx + 1) % inner.clock.len().max(1);
-                    steps += 1;
-                }
+            let Some(frame) = inner.frames.get_mut(&id) else {
+                // Stale clock entry; prune without advancing the hand.
+                inner.clock.swap_remove(idx);
+                continue;
+            };
+            if frame.refbits > 0 {
+                frame.refbits -= 1;
+            } else if !frame.dirty || self.wal.is_some() {
+                break idx;
             }
-        }
-        let (wal, victim) = match (&self.wal, dirty_victim) {
-            (Some(wal), Some(victim)) => (wal, victim),
-            // No WAL (volatile/test pool) or every frame hot: grow
-            // instead of stealing.
-            _ => return Ok(()),
+            inner.hand = idx + 1;
+            steps += 1;
         };
-        let t0 = Instant::now();
-        let frame = inner.frames.get(&victim).expect("victim is resident");
-        // WAL-before-data: the log must cover the page's last change
-        // before the image may overwrite the on-disk copy.
-        wal.flush_through(frame.page.lsn())?;
-        self.disk.write_page(victim, &frame.page)?;
-        inner.frames.remove(&victim);
-        inner.clock.retain(|&p| p != victim);
-        inner.hand = if inner.clock.is_empty() {
-            0
+        let victim = inner.clock[idx];
+        let frame = &inner.frames[&victim];
+        if frame.dirty {
+            let wal = self.wal.as_ref().expect("dirty victims need a WAL");
+            let t0 = Instant::now();
+            // WAL-before-data: the log must cover the page's last change
+            // before the image may overwrite the on-disk copy.
+            wal.flush_through(frame.page.lsn())?;
+            self.disk.write_page(victim, &frame.page)?;
+            inner.steals += 1;
+            self.note_dirty(-1);
+            self.metrics.pages_stolen.inc();
+            self.metrics
+                .evict_flush_micros
+                .record(t0.elapsed().as_micros() as u64);
         } else {
-            inner.hand % inner.clock.len()
-        };
-        inner.steals += 1;
+            inner.evictions += 1;
+            self.metrics.buf_evictions.inc();
+        }
+        inner.frames.remove(&victim);
+        inner.clock.swap_remove(idx);
         self.note_resident(-1);
-        self.note_dirty(-1);
-        self.metrics.pages_stolen.inc();
-        self.metrics
-            .evict_flush_micros
-            .record(t0.elapsed().as_micros() as u64);
         self.metrics
             .emit(|| TraceEvent::BufferEviction { page: victim });
         Ok(())
@@ -646,6 +632,75 @@ mod tests {
         let after = p.stats();
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.misses, before.misses);
+    }
+
+    #[test]
+    fn gclock_keeps_hot_pages_through_a_dirty_scan() {
+        // The same scan, but every scan page is written, as trigger
+        // processing writes what it reads: a dirty frame at count zero is
+        // stolen as soon as the hand reaches it, so the clean hot page is
+        // not decayed and evicted for being the only clean frame.
+        let dir = TempDir::new("pool");
+        let disk = DiskFile::create(&dir.file("db")).unwrap();
+        let wal = Arc::new(Wal::open(&dir.file("wal"), false).unwrap());
+        let mut p = BufferPool::with_shards(disk, 8, 1);
+        p.attach_wal(wal);
+        let hot = p.allocate_page().unwrap();
+        let scan: Vec<PageId> = (0..32).map(|_| p.allocate_page().unwrap()).collect();
+        for (i, &id) in scan.iter().enumerate() {
+            for _ in 0..2 {
+                p.with_page(hot, |_| ()).unwrap();
+            }
+            p.with_page_mut(id, |pg| {
+                pg.insert(&[i as u8; 8]).unwrap();
+            })
+            .unwrap();
+        }
+        let before = p.stats();
+        assert!(before.steals > 0, "dirty scan pages must have been stolen");
+        p.with_page(hot, |_| ()).unwrap();
+        let after = p.stats();
+        assert_eq!(after.hits, before.hits + 1);
+        assert_eq!(after.misses, before.misses);
+        // Stolen scan pages read back their written images.
+        for (i, &id) in scan.iter().enumerate() {
+            let v = p.with_page(id, |pg| pg.read(0).unwrap().to_vec()).unwrap();
+            assert_eq!(v, vec![i as u8; 8]);
+        }
+    }
+
+    #[test]
+    fn pool_without_wal_never_evicts_a_dirty_frame() {
+        // No WAL, no steal: a cold dirty frame the hand reaches at count
+        // zero is passed over while clean scan frames are evicted round it.
+        let dir = TempDir::new("pool");
+        let disk = DiskFile::create(&dir.file("db")).unwrap();
+        let p = BufferPool::with_shards(disk, 4, 1);
+        let dirty = p.allocate_page().unwrap();
+        p.with_page_mut(dirty, |pg| {
+            pg.insert(b"unlogged").unwrap();
+        })
+        .unwrap();
+        for _ in 0..32 {
+            let id = p.allocate_page().unwrap();
+            p.with_page(id, |_| ()).unwrap();
+        }
+        let s = p.stats();
+        assert_eq!(s.steals, 0);
+        assert!(s.evictions > 0, "clean scan frames must have been evicted");
+        assert!(s.resident <= p.capacity(), "resident={}", s.resident);
+        let before = p.stats();
+        let v = p
+            .with_page(dirty, |pg| pg.read(0).unwrap().to_vec())
+            .unwrap();
+        assert_eq!(v, b"unlogged");
+        assert_eq!(
+            p.stats().misses,
+            before.misses,
+            "dirty frame stayed resident"
+        );
+        // Never written back either.
+        assert!(p.disk().read_page(dirty).unwrap().read(0).is_none());
     }
 
     #[test]

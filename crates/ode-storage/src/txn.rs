@@ -8,8 +8,9 @@
 //! the event detecting transaction does").
 //!
 //! Rollback is implemented with in-memory undo records captured at
-//! operation time; because the buffer pool never steals dirty pages, undo
-//! never needs to *read* the log. Each applied undo step is nevertheless
+//! operation time, so undo never needs to *read* the log (a page stolen
+//! before the abort is simply read back through the buffer pool). Each
+//! applied undo step is nevertheless
 //! *written* to the log as an ordinary cell record (compensation-log
 //! style), so crash recovery can repeat history through aborts — a
 //! committed transaction's operations may physically depend on page
@@ -21,6 +22,14 @@
 //! stripe has its own condvar; [`TxnManager::finish`] notifies the
 //! finished transaction's stripe, which is exactly where
 //! [`TxnManager::await_dependencies`] waits for it.
+//!
+//! A stripe holds *live* transactions only: [`TxnManager::finish`]
+//! removes the record, so the table's size (and the checkpointer's scans
+//! of it) follows the number of transactions in flight, not the number
+//! ever run. Outcomes stay answerable: an aborted id is kept in a compact
+//! per-stripe set, and an issued id that is neither live nor aborted has
+//! committed ([`TxnManager::begin`] inserts the record before it returns
+//! the id, so an id a caller holds is never absent while active).
 
 use crate::error::{Result, StorageError};
 use crate::oid::{Oid, PageId};
@@ -75,8 +84,8 @@ pub enum UndoOp {
     },
 }
 
+/// A live (active) transaction.
 struct TxnRecord {
-    state: TxnState,
     system: bool,
     undo: Vec<UndoOp>,
     /// Cells tombstoned by this transaction's deletes, physically removed
@@ -111,8 +120,24 @@ struct TxnRecord {
     read_barrier: Option<u64>,
 }
 
+#[derive(Default)]
+struct StripeTable {
+    /// Active transactions; a record is removed when it finishes.
+    live: HashMap<TxnId, TxnRecord>,
+    /// Ids of finished transactions that aborted.
+    aborted: HashSet<TxnId>,
+}
+
+impl StripeTable {
+    fn active_mut(&mut self, txn: TxnId) -> Result<&mut TxnRecord> {
+        self.live
+            .get_mut(&txn)
+            .ok_or(StorageError::TxnNotActive(txn))
+    }
+}
+
 struct TxnStripe {
-    txns: Mutex<HashMap<TxnId, TxnRecord>>,
+    txns: Mutex<StripeTable>,
     cv: Condvar,
 }
 
@@ -146,7 +171,7 @@ impl TxnManager {
             next: AtomicU64::new(1),
             stripes: (0..n)
                 .map(|_| TxnStripe {
-                    txns: Mutex::new(HashMap::new()),
+                    txns: Mutex::new(StripeTable::default()),
                     cv: Condvar::new(),
                 })
                 .collect(),
@@ -161,7 +186,7 @@ impl TxnManager {
     }
 
     /// Lock a transaction's stripe, counting contended acquisitions.
-    fn lock_stripe(&self, txn: TxnId) -> MutexGuard<'_, HashMap<TxnId, TxnRecord>> {
+    fn lock_stripe(&self, txn: TxnId) -> MutexGuard<'_, StripeTable> {
         let stripe = self.stripe(txn);
         match stripe.txns.try_lock() {
             Some(guard) => guard,
@@ -180,10 +205,9 @@ impl TxnManager {
     /// Start a transaction. `system` marks trigger-processing transactions.
     pub fn begin(&self, system: bool) -> TxnId {
         let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        self.lock_stripe(id).insert(
+        self.lock_stripe(id).live.insert(
             id,
             TxnRecord {
-                state: TxnState::Active,
                 system,
                 undo: Vec::new(),
                 pending_deletes: Vec::new(),
@@ -199,38 +223,46 @@ impl TxnManager {
         id
     }
 
-    /// Current state, if the transaction is known.
+    /// Current state, if the transaction is known (its id was issued).
     pub fn state(&self, txn: TxnId) -> Option<TxnState> {
-        self.lock_stripe(txn).get(&txn).map(|r| r.state)
+        let issued = (1..self.next.load(Ordering::Relaxed)).contains(&txn.0);
+        Self::state_in(&self.lock_stripe(txn), txn, issued)
+    }
+
+    /// `txn`'s state as recorded in its (locked) stripe.
+    fn state_in(table: &StripeTable, txn: TxnId, issued: bool) -> Option<TxnState> {
+        if table.live.contains_key(&txn) {
+            Some(TxnState::Active)
+        } else if table.aborted.contains(&txn) {
+            Some(TxnState::Aborted)
+        } else {
+            issued.then_some(TxnState::Committed)
+        }
     }
 
     /// Whether the transaction was started as a system transaction.
     pub fn is_system(&self, txn: TxnId) -> bool {
-        self.lock_stripe(txn).get(&txn).is_some_and(|r| r.system)
+        self.lock_stripe(txn)
+            .live
+            .get(&txn)
+            .is_some_and(|r| r.system)
     }
 
     /// Fail unless `txn` is active.
     pub fn require_active(&self, txn: TxnId) -> Result<()> {
-        match self.state(txn) {
-            Some(TxnState::Active) => Ok(()),
-            _ => Err(StorageError::TxnNotActive(txn)),
-        }
+        self.lock_stripe(txn).active_mut(txn).map(|_| ())
     }
 
     /// Record an undo action for `txn`.
     pub fn push_undo(&self, txn: TxnId, op: UndoOp) -> Result<()> {
-        let mut txns = self.lock_stripe(txn);
-        let rec = txns.get_mut(&txn).ok_or(StorageError::TxnNotActive(txn))?;
-        if rec.state != TxnState::Active {
-            return Err(StorageError::TxnNotActive(txn));
-        }
-        rec.undo.push(op);
+        self.lock_stripe(txn).active_mut(txn)?.undo.push(op);
         Ok(())
     }
 
     /// Take the undo list (newest last) for rollback.
     pub fn take_undo(&self, txn: TxnId) -> Vec<UndoOp> {
         self.lock_stripe(txn)
+            .live
             .get_mut(&txn)
             .map(|r| std::mem::take(&mut r.undo))
             .unwrap_or_default()
@@ -239,15 +271,17 @@ impl TxnManager {
     /// Record a cell tombstoned by `txn`, to be physically deleted at
     /// commit.
     pub fn note_pending_delete(&self, txn: TxnId, oid: Oid) -> Result<()> {
-        let mut txns = self.lock_stripe(txn);
-        let rec = txns.get_mut(&txn).ok_or(StorageError::TxnNotActive(txn))?;
-        rec.pending_deletes.push(oid);
+        self.lock_stripe(txn)
+            .active_mut(txn)?
+            .pending_deletes
+            .push(oid);
         Ok(())
     }
 
     /// Drain the cells awaiting physical deletion at `txn`'s commit.
     pub fn take_pending_deletes(&self, txn: TxnId) -> Vec<Oid> {
         self.lock_stripe(txn)
+            .live
             .get_mut(&txn)
             .map(|r| std::mem::take(&mut r.pending_deletes))
             .unwrap_or_default()
@@ -261,10 +295,7 @@ impl TxnManager {
     /// without a first LSN.
     pub fn mark_logged(&self, txn: TxnId, first_lsn: u64) -> Result<bool> {
         let mut txns = self.lock_stripe(txn);
-        let rec = txns.get_mut(&txn).ok_or(StorageError::TxnNotActive(txn))?;
-        if rec.state != TxnState::Active {
-            return Err(StorageError::TxnNotActive(txn));
-        }
+        let rec = txns.active_mut(txn)?;
         let first = !std::mem::replace(&mut rec.logged, true);
         if first {
             rec.first_lsn = Some(first_lsn);
@@ -274,37 +305,39 @@ impl TxnManager {
 
     /// Whether `txn` has written any WAL records (false ⇒ read-only so far).
     pub fn has_logged(&self, txn: TxnId) -> bool {
-        self.lock_stripe(txn).get(&txn).is_some_and(|r| r.logged)
+        self.lock_stripe(txn)
+            .live
+            .get(&txn)
+            .is_some_and(|r| r.logged)
     }
 
     /// Record the LSN of `txn`'s Commit record.
     pub fn set_commit_lsn(&self, txn: TxnId, lsn: u64) {
-        if let Some(rec) = self.lock_stripe(txn).get_mut(&txn) {
+        if let Some(rec) = self.lock_stripe(txn).live.get_mut(&txn) {
             rec.commit_lsn = Some(lsn);
         }
     }
 
     /// LSN of `txn`'s Commit record, if it has been appended.
     pub fn commit_lsn(&self, txn: TxnId) -> Option<u64> {
-        self.lock_stripe(txn).get(&txn).and_then(|r| r.commit_lsn)
+        self.lock_stripe(txn)
+            .live
+            .get(&txn)
+            .and_then(|r| r.commit_lsn)
     }
 
     /// Add `oid` to `txn`'s MVCC write set. Returns `true` on the first
     /// insertion — the caller must seed the object's committed value into
     /// the version store before mutating its pages.
     pub fn track_dirty(&self, txn: TxnId, oid: u64) -> Result<bool> {
-        let mut txns = self.lock_stripe(txn);
-        let rec = txns.get_mut(&txn).ok_or(StorageError::TxnNotActive(txn))?;
-        if rec.state != TxnState::Active {
-            return Err(StorageError::TxnNotActive(txn));
-        }
-        Ok(rec.dirty.insert(oid))
+        Ok(self.lock_stripe(txn).active_mut(txn)?.dirty.insert(oid))
     }
 
     /// Drain `txn`'s MVCC write set (for install at commit, or unpinning
     /// on abort).
     pub fn take_dirty(&self, txn: TxnId) -> Vec<u64> {
         self.lock_stripe(txn)
+            .live
             .get_mut(&txn)
             .map(|r| r.dirty.drain().collect())
             .unwrap_or_default()
@@ -313,7 +346,7 @@ impl TxnManager {
     /// Mark `txn` as a read-only snapshot transaction: `seq` is its
     /// version-store snapshot, `barrier` the begin-time WAL read barrier.
     pub fn set_snapshot(&self, txn: TxnId, seq: u64, barrier: Option<u64>) {
-        if let Some(rec) = self.lock_stripe(txn).get_mut(&txn) {
+        if let Some(rec) = self.lock_stripe(txn).live.get_mut(&txn) {
             rec.snapshot = Some(seq);
             rec.read_barrier = barrier;
         }
@@ -321,19 +354,23 @@ impl TxnManager {
 
     /// The snapshot sequence of a read-only transaction, if `txn` is one.
     pub fn snapshot_of(&self, txn: TxnId) -> Option<u64> {
-        self.lock_stripe(txn).get(&txn).and_then(|r| r.snapshot)
+        self.lock_stripe(txn)
+            .live
+            .get(&txn)
+            .and_then(|r| r.snapshot)
     }
 
     /// The begin-time WAL read barrier of a read-only transaction.
     pub fn read_barrier_of(&self, txn: TxnId) -> Option<u64> {
-        self.lock_stripe(txn).get(&txn).and_then(|r| r.read_barrier)
+        self.lock_stripe(txn)
+            .live
+            .get(&txn)
+            .and_then(|r| r.read_barrier)
     }
 
     /// Declare that `txn` may only commit if `on` commits.
     pub fn add_dependency(&self, txn: TxnId, on: TxnId) -> Result<()> {
-        let mut txns = self.lock_stripe(txn);
-        let rec = txns.get_mut(&txn).ok_or(StorageError::TxnNotActive(txn))?;
-        rec.depends_on.push(on);
+        self.lock_stripe(txn).active_mut(txn)?.depends_on.push(on);
         Ok(())
     }
 
@@ -343,15 +380,18 @@ impl TxnManager {
     pub fn await_dependencies(&self, txn: TxnId) -> Result<()> {
         let deps: Vec<TxnId> = self
             .lock_stripe(txn)
+            .live
             .get(&txn)
             .map(|r| r.depends_on.clone())
             .unwrap_or_default();
         for dep in deps {
+            // Every id a caller can name was issued before this read.
+            let issued = (1..self.next.load(Ordering::Relaxed)).contains(&dep.0);
             let stripe = self.stripe(dep);
             let mut txns = stripe.txns.lock();
             let start = Instant::now();
             loop {
-                match txns.get(&dep).map(|r| r.state) {
+                match Self::state_in(&txns, dep, issued) {
                     Some(TxnState::Committed) => break,
                     Some(TxnState::Aborted) | None => {
                         return Err(StorageError::DependencyAborted { txn, on: dep });
@@ -372,20 +412,19 @@ impl TxnManager {
         Ok(())
     }
 
-    /// Transition to a final state and wake dependency waiters. The undo
-    /// list is dropped (commit) — callers take it before aborting.
+    /// Transition to a final state and wake dependency waiters. The
+    /// record is dropped with its undo list (commit) — callers take it
+    /// before aborting; an abort leaves only the id behind.
     pub fn finish(&self, txn: TxnId, state: TxnState) -> Result<()> {
         debug_assert_ne!(state, TxnState::Active);
         {
             let mut txns = self.lock_stripe(txn);
-            let rec = txns.get_mut(&txn).ok_or(StorageError::TxnNotActive(txn))?;
-            if rec.state != TxnState::Active {
-                return Err(StorageError::TxnNotActive(txn));
+            txns.live
+                .remove(&txn)
+                .ok_or(StorageError::TxnNotActive(txn))?;
+            if state == TxnState::Aborted {
+                txns.aborted.insert(txn);
             }
-            rec.state = state;
-            rec.undo.clear();
-            rec.pending_deletes.clear();
-            rec.dirty.clear();
         }
         self.stripe(txn).cv.notify_all();
         Ok(())
@@ -399,8 +438,9 @@ impl TxnManager {
         for stripe in self.stripes.iter() {
             let txns = stripe.txns.lock();
             out.extend(
-                txns.iter()
-                    .filter(|(_, r)| r.state == TxnState::Active && r.logged)
+                txns.live
+                    .iter()
+                    .filter(|(_, r)| r.logged)
                     .filter_map(|(&id, r)| r.first_lsn.map(|lsn| (id.0, lsn))),
             );
         }
@@ -411,38 +451,9 @@ impl TxnManager {
     pub fn active(&self) -> Vec<TxnId> {
         let mut out = Vec::new();
         for stripe in self.stripes.iter() {
-            let txns = stripe.txns.lock();
-            out.extend(
-                txns.iter()
-                    .filter(|(_, r)| r.state == TxnState::Active)
-                    .map(|(&id, _)| id),
-            );
+            out.extend(stripe.txns.lock().live.keys().copied());
         }
         out
-    }
-
-    /// Drop finished-transaction records older than the newest `keep`
-    /// (dependency checks only ever look back a short window).
-    pub fn prune(&self, keep: usize) {
-        let mut total = 0;
-        let mut finished: Vec<TxnId> = Vec::new();
-        for stripe in self.stripes.iter() {
-            let txns = stripe.txns.lock();
-            total += txns.len();
-            finished.extend(
-                txns.iter()
-                    .filter(|(_, r)| r.state != TxnState::Active)
-                    .map(|(&id, _)| id),
-            );
-        }
-        if total <= keep {
-            return;
-        }
-        finished.sort_unstable();
-        let excess = total.saturating_sub(keep);
-        for id in finished.into_iter().take(excess) {
-            self.stripe(id).txns.lock().remove(&id);
-        }
     }
 }
 
@@ -626,14 +637,31 @@ mod tests {
     }
 
     #[test]
-    fn prune_keeps_active() {
+    fn table_holds_only_live_transactions() {
         let tm = TxnManager::default();
-        let keep_me = tm.begin(false);
-        for _ in 0..100 {
-            let t = tm.begin(false);
-            tm.finish(t, TxnState::Committed).unwrap();
+        let live: Vec<TxnId> = (0..3).map(|_| tm.begin(false)).collect();
+        let mut aborted = Vec::new();
+        for i in 0..10_000 {
+            let t = tm.begin(i % 2 == 0);
+            tm.push_undo(t, UndoOp::UndoInsert { page: 1, slot: 0 })
+                .unwrap();
+            tm.track_dirty(t, i).unwrap();
+            if i % 3 == 0 {
+                let _ = tm.take_undo(t);
+                tm.finish(t, TxnState::Aborted).unwrap();
+                aborted.push(t);
+            } else {
+                tm.finish(t, TxnState::Committed).unwrap();
+            }
         }
-        tm.prune(10);
-        assert_eq!(tm.state(keep_me), Some(TxnState::Active));
+        let records: usize = tm.stripes.iter().map(|s| s.txns.lock().live.len()).sum();
+        assert_eq!(records, live.len());
+        let mut active = tm.active();
+        active.sort_unstable();
+        assert_eq!(active, live);
+        // Outcomes of retired transactions are still answered.
+        assert_eq!(tm.state(aborted[0]), Some(TxnState::Aborted));
+        assert_eq!(tm.state(TxnId(live[2].0 + 2)), Some(TxnState::Committed));
+        assert_eq!(tm.state(TxnId(u64::MAX)), None, "never issued");
     }
 }

@@ -29,8 +29,8 @@
 //!   a visible version always implies a log position the read barrier can
 //!   wait on — the writer serializes on the commit lock, assigns
 //!   `s = seq + 1`, pushes the final logical value of every object in its
-//!   write set, publishes `seq = s`, and opportunistically trims behind
-//!   the GC horizon.
+//!   write set, publishes `seq = s`, and only then unpins the entries and
+//!   opportunistically trims behind the GC horizon.
 //! * **Fallback.** An object with no chain entry is read straight from
 //!   the pages (per-page latches only), then the chain is *re-checked*: if
 //!   an entry appeared, a writer raced the read and the page bytes may be
@@ -43,13 +43,14 @@
 //! * **GC.** Versions superseded by a later version at or below the
 //!   horizon (oldest active snapshot, else the current sequence) are
 //!   dropped at install time and on full sweeps; whole entries are
-//!   reclaimed only when no snapshot is registered, which keeps the store
-//!   empty on write-only workloads.
+//!   reclaimed only when no snapshot is registered — the registry mutex is
+//!   held across the removals, so none can register mid-sweep — which
+//!   keeps the store empty on write-only workloads.
 
 use crate::oid::ClusterId;
 use crate::txn::TxnId;
 use ode_obs::Metrics;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -255,7 +256,6 @@ impl VersionStore {
                 cluster,
                 versions: Vec::new(),
             });
-            chain.writer = None;
             chain.versions.push(Version {
                 seq: s,
                 data: value.map(|v| Arc::from(v.into_boxed_slice())),
@@ -264,8 +264,12 @@ impl VersionStore {
                 .version_chain_len
                 .record(chain.versions.len() as u64);
         }
+        // Publish, then unpin: while pinned, no vacuum can reclaim an entry
+        // whose pages already hold this commit's value, which a snapshot
+        // registered at the previous sequence would otherwise read back
+        // through the fallback beside its siblings' older chain values.
         self.seq.store(s, Ordering::Release);
-        self.gc(dirty.iter().copied());
+        self.unpin_and_gc(dirty.iter().copied());
         Ok(s)
     }
 
@@ -305,27 +309,32 @@ impl VersionStore {
         out
     }
 
-    /// GC horizon and whether whole-entry reclamation is allowed. Runs
-    /// under the registry mutex — the serialization point against
-    /// [`VersionStore::register_snapshot`].
-    fn horizon(&self) -> (u64, bool) {
+    /// GC horizon, read under the registry mutex — the serialization
+    /// point against [`VersionStore::register_snapshot`]. When no snapshot
+    /// is registered, whole-entry reclamation is allowed and the registry
+    /// guard is returned: the caller holds it through its removals, so no
+    /// snapshot can register between that decision and the removals and
+    /// then read through the fallback a page value newer than its sequence.
+    fn horizon(&self) -> (u64, Option<MutexGuard<'_, BTreeMap<u64, usize>>>) {
         let snaps = self.snapshots.lock();
         match snaps.keys().next() {
-            Some(&oldest) => (oldest, false),
-            None => (self.seq.load(Ordering::Acquire), true),
+            Some(&oldest) => (oldest, None),
+            None => (self.seq.load(Ordering::Acquire), Some(snaps)),
         }
     }
 
-    /// Trim the given chains behind the horizon; reclaim writer-free
-    /// entries entirely when no snapshot is registered.
-    fn gc(&self, oids: impl Iterator<Item = u64>) {
-        let (horizon, reclaim) = self.horizon();
+    /// Unpin the given (just installed) chains and trim them behind the
+    /// horizon; reclaim them entirely when no snapshot is registered.
+    fn unpin_and_gc(&self, oids: impl Iterator<Item = u64>) {
+        let (horizon, registry) = self.horizon();
+        let reclaim = registry.is_some();
         let mut dropped = 0u64;
         for oid in oids {
             let mut shard = self.shard(oid).lock();
             if let Some(chain) = shard.get_mut(&oid) {
+                chain.writer = None;
                 dropped += Self::trim(chain, horizon);
-                if reclaim && chain.writer.is_none() {
+                if reclaim {
                     dropped += chain.versions.len() as u64;
                     shard.remove(&oid);
                 }
@@ -342,7 +351,8 @@ impl VersionStore {
     /// would let a falling-back reader miss a rolled-back mutation that
     /// happened inside its read window, so it is never done.
     pub fn vacuum(&self) {
-        let (horizon, reclaim) = self.horizon();
+        let (horizon, registry) = self.horizon();
+        let reclaim = registry.is_some();
         let mut dropped = 0u64;
         for shard in self.shards.iter() {
             let mut shard = shard.lock();

@@ -354,14 +354,20 @@ fn concurrent_snapshots_are_never_torn() {
     const CAP: usize = 64; // tiny ring: constant lapping
     let rec = Arc::new(FlightRecorder::with_capacity(CAP));
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // Set by the reader once it has taken a non-empty snapshot; writers
+    // keep lapping the ring until then, however late the reader runs.
+    let observed = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let rec = Arc::clone(&rec);
+            let observed = Arc::clone(&observed);
             std::thread::spawn(move || {
-                for i in 0..PER_WRITER {
+                let mut n = 0u64;
+                while n < PER_WRITER || !observed.load(std::sync::atomic::Ordering::Acquire) {
                     rec.record(FlightEvent::TxnCommit {
-                        txn: w * 1_000_000 + i,
+                        txn: w * 1_000_000 + n % PER_WRITER,
                     });
+                    n += 1;
                 }
             })
         })
@@ -369,10 +375,15 @@ fn concurrent_snapshots_are_never_torn() {
     let reader = {
         let rec = Arc::clone(&rec);
         let stop = Arc::clone(&stop);
+        let observed = Arc::clone(&observed);
         std::thread::spawn(move || {
             let mut seen = 0usize;
             while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                for r in rec.snapshot() {
+                let snapshot = rec.snapshot();
+                if !snapshot.is_empty() {
+                    observed.store(true, std::sync::atomic::Ordering::Release);
+                }
+                for r in snapshot {
                     seen += 1;
                     let (w, i) = match r.event {
                         FlightEvent::TxnCommit { txn } => (txn / 1_000_000, txn % 1_000_000),

@@ -135,8 +135,9 @@ fn billing_cycle(db: &Database, card: PersistentPtr<CredCard>) {
 
 /// Force a deterministic shared-lock wait: the main thread holds the
 /// card exclusively (an open update transaction) while a reader thread
-/// blocks on it; the main thread commits only after the wait counter
-/// proves the reader is queued.
+/// blocks on it; once the wait counter proves the reader is queued, the
+/// main thread keeps the lock for a measured 2 ms more, then commits, so
+/// the wait the reader records is over a millisecond.
 fn force_lock_wait(db: &Arc<Database>, card: PersistentPtr<CredCard>) {
     let waits_before = db.stats().lock_shared_waits;
     let txn = db.begin().unwrap();
@@ -162,6 +163,10 @@ fn force_lock_wait(db: &Arc<Database>, card: PersistentPtr<CredCard>) {
             Instant::now() < deadline,
             "reader never blocked on the exclusively held card"
         );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let observed = Instant::now();
+    while observed.elapsed() < Duration::from_millis(2) {
         std::thread::sleep(Duration::from_millis(1));
     }
     db.commit(txn).unwrap();
