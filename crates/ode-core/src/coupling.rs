@@ -32,6 +32,38 @@ use ode_storage::{CommitTicket, StorageError, TxnId, TxnState};
 /// triggers).
 const MAX_END_ROUNDS: usize = 32;
 
+/// First and largest wait (µs) before rerunning a deadlock victim.
+const RETRY_BACKOFF_MIN_US: u64 = 50;
+const RETRY_BACKOFF_MAX_US: u64 = 4_000;
+
+/// Sleep before rerun number `attempt` (1-based) of a deadlock victim:
+/// bounded exponential backoff, doubling from [`RETRY_BACKOFF_MIN_US`] to
+/// at most [`RETRY_BACKOFF_MAX_US`], with the upper half of each wait
+/// drawn from a per-thread xorshift so two victims of the same cycle
+/// rerun at different times instead of colliding again.
+fn retry_backoff(attempt: usize) {
+    use std::cell::Cell;
+    use std::hash::BuildHasher;
+    thread_local! {
+        static STATE: Cell<u64> = Cell::new(
+            std::collections::hash_map::RandomState::new()
+                .hash_one(std::thread::current().id())
+                | 1,
+        );
+    }
+    let r = STATE.with(|s| {
+        let mut x = s.get();
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        s.set(x);
+        x
+    });
+    let ceiling = (RETRY_BACKOFF_MIN_US << (attempt - 1).min(16)).min(RETRY_BACKOFF_MAX_US);
+    let wait = ceiling / 2 + r % (ceiling / 2 + 1);
+    std::thread::sleep(std::time::Duration::from_micros(wait));
+}
+
 impl Database {
     /// Begin a transaction.
     pub fn begin(&self) -> Result<TxnId> {
@@ -86,13 +118,19 @@ impl Database {
     /// of deadlock" makes such victims a normal operating condition, and
     /// the standard response is to rerun the transaction. `tabort` and
     /// other application errors are *not* retried.
+    ///
+    /// Each rerun waits first ([`retry_backoff`]): rerun at once, two
+    /// symmetric writers can collide again on every attempt.
     pub fn with_txn_retry<R>(
         &self,
         max_attempts: usize,
         f: impl Fn(TxnId) -> Result<R>,
     ) -> Result<R> {
         let mut last = None;
-        for _ in 0..max_attempts.max(1) {
+        for attempt in 0..max_attempts.max(1) {
+            if attempt > 0 {
+                retry_backoff(attempt);
+            }
             match self.with_txn(&f) {
                 Err(e)
                     if matches!(
@@ -150,10 +188,10 @@ impl Database {
             return Err(e);
         }
         let mut local = self.drop_txn_local(txn);
-        // One write-back pass for every statenum advanced in this
+        // One settle pass for every statenum advanced in this
         // transaction — the deferred half of §6's read-becomes-write
         // lock amplification (S locks from cache-miss reads upgrade to X
-        // here).
+        // here; only changed statenums are written).
         if let Err(e) = self.flush_trigger_states(txn, &mut local) {
             let _ = self.storage.abort(txn);
             self.run_detached(local.indep_list, None);

@@ -91,8 +91,9 @@ pub(crate) struct TxnLocal {
     /// transaction.
     pub local_triggers: Vec<crate::local::LocalInstance>,
     /// Trigger states touched by this transaction: decoded once on first
-    /// advance, dirty `statenum`s written back in one pass at commit (and
-    /// simply dropped on abort — storage was never written).
+    /// advance, dirty `statenum`s settled in one pass at commit — X-locked
+    /// always, written only when changed — and simply dropped on abort
+    /// (storage was never written).
     pub state_cache: HashMap<Oid, CachedTriggerState>,
     /// Reusable buffer for trigger-index lookups during posting, so the
     /// steady-state path allocates no fresh `Vec<Oid>` per event.

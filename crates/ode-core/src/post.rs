@@ -28,25 +28,32 @@
 //! per-transaction cache: the first advance of a trigger instance reads
 //! and decodes its state record once into [`CachedTriggerState`]; every
 //! later advance in the same transaction hits the decoded struct and
-//! never touches storage. Dirty `statenum`s are patched into the retained
-//! on-disk image ([`patch_u32_le`]) and written back in one pass at
-//! commit ([`Database::flush_trigger_states`]); aborts just drop the
-//! cache. Names travel as interned [`Sym`](crate::intern::Sym)s and
+//! never touches storage. At commit, one pass
+//! ([`Database::flush_trigger_states`]) settles every instance whose FSM
+//! moved: it always takes the X lock — §6's read-becomes-write, kept
+//! exactly — but writes only a statenum that differs from the stored one,
+//! patched into the retained on-disk image ([`patch_u32_le`]). A cycle
+//! that lands back in its stored state (a perpetual trigger after each
+//! firing) is settled by the lock alone: no WAL record, no version, no
+//! dirty page. Aborts just drop the cache. Names travel as interned
+//! [`Sym`](crate::intern::Sym)s and
 //! `Arc`s, accounting goes through the lock-free `ode-obs` counters, and
 //! the index lookup fills a reusable per-transaction scratch buffer — a
 //! steady-state post acquires no mutex and allocates no `String`.
 //!
 //! ## Snapshot readers
 //!
-//! The commit-time write-back goes through `storage.update`, which under
-//! MVCC seeds the state record's committed image and installs the new
-//! statenum as a fresh version at the commit sequence — in place of the
-//! old "upgrade the S lock to X in place" pattern as far as readers are
-//! concerned (writers still serialize under 2PL). A read-only snapshot
-//! transaction therefore observes every trigger statenum exactly as of
-//! its snapshot: never a half-flushed batch, never an uncommitted
-//! advance. Posting an event on a snapshot transaction is refused up
-//! front, since posting is always a write.
+//! The commit-time write-back of a changed statenum goes through
+//! `storage.update`, which under MVCC seeds the state record's committed
+//! image and installs the new statenum as a fresh version at the commit
+//! sequence — in place of the old "upgrade the S lock to X in place"
+//! pattern as far as readers are concerned (writers still serialize
+//! under 2PL). An unchanged statenum leaves the record untouched, so a
+//! snapshot reader sees the committed value it would have seen anyway. A
+//! read-only snapshot transaction therefore observes every trigger
+//! statenum exactly as of its snapshot: never a half-flushed batch, never
+//! an uncommitted advance. Posting an event on a snapshot transaction is
+//! refused up front, since posting is always a write.
 
 use crate::context::TriggerCtx;
 use crate::database::{Database, TxnLocal};
@@ -313,13 +320,17 @@ impl Database {
             .insert(state_oid, cached);
     }
 
-    /// Write every dirty cached statenum back to storage — the single
-    /// commit-time pass that replaces the per-advance
-    /// `storage.update(..)` of the naive algorithm. The stored image is
-    /// patched in place ([`patch_u32_le`]); nothing is re-encoded. An
-    /// entry is dirty whenever its FSM *moved* this transaction, even if
-    /// the cycle returned to the stored state — the write lock is §6's
-    /// point, not the value.
+    /// Settle every dirty cached statenum — the single commit-time pass
+    /// that replaces the per-advance `storage.update(..)` of the naive
+    /// algorithm. An entry is dirty whenever its FSM *moved* this
+    /// transaction, and every dirty entry takes the X lock: the write
+    /// lock is §6's point, and it is owed even when the cycle returned to
+    /// the stored state. Only a statenum that differs from the stored
+    /// image's is patched in place ([`patch_u32_le`]; nothing is
+    /// re-encoded) and written back. An unchanged one is settled by the
+    /// lock alone ([`ode_storage::Storage::lock_exclusive`]): writing the
+    /// same bytes would cost a WAL record, a version and a dirty page for
+    /// an identity update.
     ///
     /// This is where the read-becomes-write lock amplification now
     /// happens: the S lock taken by the first (cache-miss) read upgrades
@@ -335,7 +346,14 @@ impl Database {
             if !cached.dirty {
                 continue;
             }
-            patch_u32_le(&mut cached.raw, cached.statenum_offset, cached.rec.statenum)?;
+            let at = cached.statenum_offset;
+            if cached.raw.get(at..at + 4) == Some(&cached.rec.statenum.to_le_bytes()[..]) {
+                self.storage.lock_exclusive(txn, *oid)?;
+                cached.dirty = false;
+                self.metrics().state_writes_skipped.inc();
+                continue;
+            }
+            patch_u32_le(&mut cached.raw, at, cached.rec.statenum)?;
             match self.storage.update(txn, *oid, &cached.raw) {
                 Ok(()) => {
                     cached.dirty = false;

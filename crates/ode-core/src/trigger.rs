@@ -33,7 +33,8 @@
 //!
 //! Because the record lives in ordinary storage, its `statenum` advances
 //! participate in MVCC like any object write: the committing transaction
-//! installs the new statenum as a fresh version, so a read-only snapshot
+//! installs a changed statenum as a fresh version (an unchanged one is not
+//! rewritten, so no version is needed), so a read-only snapshot
 //! transaction (e.g. [`Database::trigger_statenum`] inside
 //! `with_read_txn`) sees a committed-prefix-consistent FSM position
 //! without taking the §6 read lock at all.
@@ -151,10 +152,11 @@ impl TriggerStateRec {
 /// cache — storage was never touched.
 ///
 /// `dirty` is raised by any advance that *moved* the FSM — even one
-/// whose cycle returns to the stored state (arm → fire → start). The
-/// write-back is then a no-op value-wise but still takes the write lock,
-/// preserving §6's read-becomes-write amplification (once per
-/// transaction instead of once per posting).
+/// whose cycle returns to the stored state (arm → fire → start). Commit
+/// then takes the write lock either way, preserving §6's
+/// read-becomes-write amplification (once per transaction instead of once
+/// per posting), but writes the record only when `statenum` differs from
+/// the one in `raw`.
 ///
 /// [`statenum_offset`]: TriggerStateRec::statenum_offset
 #[derive(Debug, Clone)]
@@ -168,7 +170,7 @@ pub(crate) struct CachedTriggerState {
     pub raw: Vec<u8>,
     /// Byte offset of `statenum` inside `raw`.
     pub statenum_offset: usize,
-    /// The FSM moved this transaction: write the record back at commit.
+    /// The FSM moved this transaction: settle the record at commit.
     pub dirty: bool,
 }
 

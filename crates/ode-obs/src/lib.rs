@@ -1000,8 +1000,14 @@ metrics! {
         /// Posting advances that read and decoded the stored TriggerState
         /// (first touch in the transaction).
         state_cache_misses,
-        /// Dirty trigger statenums written back to storage at commit.
+        /// Trigger statenums written back to storage at commit: the FSM
+        /// moved this transaction and ended in a state other than the
+        /// stored one.
         state_writebacks,
+        /// Trigger statenums settled at commit by the X lock alone: the FSM
+        /// moved this transaction but ended in the stored state, so the
+        /// identity write (WAL record, version, dirty page) was skipped.
+        state_writes_skipped,
         /// Trigger activations.
         trigger_activations,
         /// Trigger deactivations (explicit, once-only, or dead instances).

@@ -111,20 +111,37 @@ impl HashIndex {
         storage.update(txn, oid, &encode_to_vec(bucket))
     }
 
-    fn bucket_of(dir: &Directory, key: u64) -> Oid {
-        let idx = (hash(key) % dir.buckets.len() as u64) as usize;
-        dir.buckets[idx]
+    /// The Oid of `key`'s bucket, read from the directory record without
+    /// decoding it: the bucket count and then the one 6-byte slot. At tens
+    /// of thousands of keys the directory is a multi-chunk overflow record,
+    /// and [`Storage::read_range`] touches only the chunk holding the slot.
+    fn bucket_of(&self, storage: &Storage, txn: TxnId, key: u64) -> Result<Oid> {
+        // Directory wire format: u32 cluster, u32 len, len × 6-byte Oids.
+        let count = storage.read_range(txn, self.dir, 4, 4)?;
+        let nbuckets = u64::from(u32::from_le_bytes(
+            count.as_slice().try_into().expect("4-byte range"),
+        ));
+        if nbuckets == 0 {
+            return Err(crate::error::StorageError::Codec(
+                "short hash directory record".into(),
+            ));
+        }
+        let at = 8 + (hash(key) % nbuckets) as usize * 6;
+        let slot = storage.read_range(txn, self.dir, at, 6)?;
+        Ok(Oid::new(
+            u32::from_le_bytes(slot[0..4].try_into().expect("4-byte slice")),
+            u16::from_le_bytes(slot[4..6].try_into().expect("2-byte slice")),
+        ))
     }
 
     /// Add `value` under `key`. Duplicate (key, value) pairs are kept out.
     ///
     /// Hot path: only the affected bucket record is rewritten; the
-    /// directory is touched only when a local overflow triggers a table
-    /// doubling (keeping inserts O(bucket), the property §5.1.3's trigger
-    /// index relies on).
+    /// directory is read at one slot and decoded and rewritten only when a
+    /// local overflow triggers a table doubling (keeping inserts
+    /// O(bucket), the property §5.1.3's trigger index relies on).
     pub fn insert(&self, storage: &Storage, txn: TxnId, key: u64, value: Oid) -> Result<()> {
-        let mut dir = self.load_dir(storage, txn)?;
-        let bucket_oid = Self::bucket_of(&dir, key);
+        let bucket_oid = self.bucket_of(storage, txn, key)?;
         let mut bucket = Self::load_bucket(storage, txn, bucket_oid)?;
         match bucket.iter_mut().find(|(k, _)| *k == key) {
             Some((_, values)) => {
@@ -141,6 +158,7 @@ impl HashIndex {
         // Grow on local overflow: with a good hash, a chain past twice the
         // target average means the table is due for doubling.
         if bucket.len() as u64 > 2 * SPLIT_THRESHOLD {
+            let mut dir = self.load_dir(storage, txn)?;
             self.grow(storage, txn, &mut dir)?;
             self.store_dir(storage, txn, &dir)?;
         }
@@ -182,8 +200,9 @@ impl HashIndex {
     /// Fill `out` (cleared first) with the values stored under `key` — the
     /// reuse-a-scratch-buffer sibling of [`HashIndex::get`] for hot paths
     /// like event posting, where a fresh `Vec` per lookup would dominate
-    /// the §5.4.5 cost. Probes the encoded directory and bucket records at
-    /// fixed offsets instead of decoding them into nested vectors.
+    /// the §5.4.5 cost. Probes one directory slot and walks the encoded
+    /// bucket record at fixed offsets instead of decoding either into
+    /// nested vectors.
     pub fn get_into(
         &self,
         storage: &Storage,
@@ -193,26 +212,7 @@ impl HashIndex {
     ) -> Result<()> {
         out.clear();
         let short = |what: &str| crate::error::StorageError::Codec(format!("short {what} record"));
-        // Directory wire format: u32 cluster, u32 len, len × 6-byte Oids.
-        let dir_raw = storage.read(txn, self.dir)?;
-        let nbuckets = u64::from(u32::from_le_bytes(
-            dir_raw
-                .get(4..8)
-                .ok_or_else(|| short("hash directory"))?
-                .try_into()
-                .expect("4-byte slice"),
-        ));
-        if nbuckets == 0 {
-            return Err(short("hash directory"));
-        }
-        let at = 8 + (hash(key) % nbuckets) as usize * 6;
-        let bucket_raw = dir_raw
-            .get(at..at + 6)
-            .ok_or_else(|| short("hash directory"))?;
-        let bucket_oid = Oid::new(
-            u32::from_le_bytes(bucket_raw[0..4].try_into().expect("4-byte slice")),
-            u16::from_le_bytes(bucket_raw[4..6].try_into().expect("2-byte slice")),
-        );
+        let bucket_oid = self.bucket_of(storage, txn, key)?;
         // Bucket wire format: u32 entries, each u64 key + u32 len + Oids.
         let raw = storage.read(txn, bucket_oid)?;
         let mut rest: &[u8] = raw.get(4..).ok_or_else(|| short("hash bucket"))?;
@@ -241,8 +241,7 @@ impl HashIndex {
 
     /// Remove one `(key, value)` pair; returns whether it was present.
     pub fn remove(&self, storage: &Storage, txn: TxnId, key: u64, value: Oid) -> Result<bool> {
-        let dir = self.load_dir(storage, txn)?;
-        let bucket_oid = Self::bucket_of(&dir, key);
+        let bucket_oid = self.bucket_of(storage, txn, key)?;
         let mut bucket = Self::load_bucket(storage, txn, bucket_oid)?;
         let Some(pos) = bucket.iter().position(|(k, _)| *k == key) else {
             return Ok(false);
@@ -261,8 +260,7 @@ impl HashIndex {
 
     /// Remove every value under `key`; returns how many were removed.
     pub fn remove_all(&self, storage: &Storage, txn: TxnId, key: u64) -> Result<usize> {
-        let dir = self.load_dir(storage, txn)?;
-        let bucket_oid = Self::bucket_of(&dir, key);
+        let bucket_oid = self.bucket_of(storage, txn, key)?;
         let mut bucket = Self::load_bucket(storage, txn, bucket_oid)?;
         let Some(pos) = bucket.iter().position(|(k, _)| *k == key) else {
             return Ok(0);
@@ -381,6 +379,38 @@ mod tests {
             "directory exploded: {} buckets for {KEYS} keys",
             dir.buckets.len()
         );
+    }
+
+    #[test]
+    fn trigger_index_load_at_scale_never_strands_a_bucket() {
+        // Regression: the trigger index of a 19K-object load, two states
+        // per object, committed 64 objects at a time. Empty buckets are
+        // 5-byte cells; on a full page the first insert into one must
+        // move it and leave a forward stub, which once failed with
+        // `database corrupt: forward stub did not fit`.
+        let (s, t, idx) = setup();
+        s.commit(t).unwrap();
+        const KEYS: u32 = 19_200;
+        for group in 0..KEYS / 64 {
+            let t = s.begin().unwrap();
+            for i in group * 64..(group + 1) * 64 {
+                let key = Oid::new(100 + i / 6, (i % 6) as u16).to_u64();
+                for v in 0..2 {
+                    let value = Oid::new(40_000 + i / 40, (i % 40 * 2 + v) as u16);
+                    idx.insert(&s, t, key, value).unwrap();
+                }
+            }
+            s.commit(t).unwrap();
+        }
+        let t = s.begin().unwrap();
+        let mut scratch = Vec::new();
+        for i in (0..KEYS).step_by(97) {
+            let key = Oid::new(100 + i / 6, (i % 6) as u16).to_u64();
+            idx.get_into(&s, t, key, &mut scratch).unwrap();
+            assert_eq!(scratch.len(), 2, "key {i}");
+        }
+        assert_eq!(idx.key_count(&s, t).unwrap(), u64::from(KEYS));
+        s.commit(t).unwrap();
     }
 
     #[test]

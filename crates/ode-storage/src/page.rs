@@ -21,6 +21,13 @@
 //!
 //! A slot entry with `offset == 0` is free (0 can never be a valid cell
 //! offset because the header occupies it).
+//!
+//! Every live cell occupies at least [`MIN_CELL`] bytes of page space, even
+//! when its slot entry records fewer: space accounting, placement and
+//! compaction all count a cell's footprint, `max(len, MIN_CELL)`. That
+//! keeps one promise the heap layer relies on: any live cell can be
+//! rewritten as a 7-byte forward stub on its own page, however full the
+//! page is.
 
 use crate::oid::ClusterId;
 
@@ -32,6 +39,16 @@ pub const HEADER_SIZE: usize = 16;
 
 /// Bytes per slot directory entry.
 const SLOT_ENTRY: usize = 4;
+
+/// The least page space a live cell occupies: the size of the heap layer's
+/// forward stub (tag byte + 6-byte Oid), so a record that must move can
+/// always leave its stub behind.
+pub const MIN_CELL: usize = 7;
+
+/// Page space taken by a live cell of `len` bytes.
+fn footprint(len: usize) -> usize {
+    len.max(MIN_CELL)
+}
 
 /// The largest record payload a single page can hold (header + one slot
 /// entry subtracted). Larger records use overflow chains in the heap layer.
@@ -149,10 +166,16 @@ impl Page {
     }
 
     /// Total reclaimable free space: contiguous free space plus dead cell
-    /// bytes that compaction would recover. Does not count free slot entries.
+    /// bytes that compaction would recover, counting each live cell at its
+    /// footprint. Does not count free slot entries. Saturates at zero:
+    /// a page written before footprints were counted may hold more small
+    /// cells than footprints allow.
     pub fn usable_free(&self) -> usize {
-        let live: usize = self.live_slots().map(|(_, _, len)| len as usize).sum();
-        (PAGE_SIZE - self.dir_end()) - live
+        let live: usize = self
+            .live_slots()
+            .map(|(_, _, len)| footprint(len as usize))
+            .sum();
+        (PAGE_SIZE - self.dir_end()).saturating_sub(live)
     }
 
     /// Whether a record of `len` bytes can be inserted (possibly after
@@ -166,7 +189,7 @@ impl Page {
         } else {
             SLOT_ENTRY
         };
-        self.usable_free() >= len + slot_cost
+        self.usable_free() >= footprint(len) + slot_cost
     }
 
     fn find_free_slot(&self) -> Option<u16> {
@@ -206,6 +229,9 @@ impl Page {
     }
 
     /// Move all live cells to the end of the page, eliminating dead space.
+    /// Each cell is given its footprint — unless the page predates
+    /// footprints and they would not all fit, in which case cells are
+    /// packed at their exact lengths as that page always was.
     fn compact(&mut self) {
         let mut live: Vec<(u16, Vec<u8>)> = self
             .live_slots()
@@ -216,26 +242,35 @@ impl Page {
                 )
             })
             .collect();
+        let padded: usize = live.iter().map(|(_, b)| footprint(b.len())).sum();
+        let pad = padded <= PAGE_SIZE - self.dir_end();
         // Pack from the end of the page.
         let mut cursor = PAGE_SIZE;
         // Sort for determinism (order does not matter for correctness).
         live.sort_by_key(|(s, _)| *s);
         for (slot, bytes) in &live {
-            cursor -= bytes.len();
+            cursor -= if pad {
+                footprint(bytes.len())
+            } else {
+                bytes.len()
+            };
             self.data[cursor..cursor + bytes.len()].copy_from_slice(bytes);
             self.set_slot_entry(*slot, cursor as u16, bytes.len() as u16);
         }
         self.set_free_end(cursor as u16);
     }
 
+    /// Reserve space for a cell of `len` bytes (its footprint) at the
+    /// low end of the cell area; returns the cell's offset.
     fn place_cell(&mut self, len: usize) -> Result<u16, PageOpError> {
-        if self.contiguous_free() < len {
+        let need = footprint(len);
+        if self.contiguous_free() < need {
             self.compact();
         }
-        if self.contiguous_free() < len {
+        if self.contiguous_free() < need {
             return Err(PageOpError::Full);
         }
-        let off = self.free_end() as usize - len;
+        let off = self.free_end() as usize - need;
         self.set_free_end(off as u16);
         Ok(off as u16)
     }
@@ -283,7 +318,7 @@ impl Page {
         let needed_dir = HEADER_SIZE + SLOT_ENTRY * (slot as usize + 1);
         if slot >= self.slot_count() {
             let extra_dir = needed_dir - self.dir_end();
-            if self.usable_free() < data.len() + extra_dir {
+            if self.usable_free() < footprint(data.len()) + extra_dir {
                 return Err(PageOpError::Full);
             }
             if self.contiguous_free() < extra_dir {
@@ -297,7 +332,7 @@ impl Page {
             for s in old..=slot {
                 self.set_slot_entry(s, 0, 0);
             }
-        } else if self.usable_free() < data.len() {
+        } else if self.usable_free() < footprint(data.len()) {
             return Err(PageOpError::Full);
         }
         let off = self.place_cell(data.len())?;
@@ -314,7 +349,9 @@ impl Page {
         let (off, len) = self.slot_entry(slot);
         if data.len() <= len as usize {
             // Shrink in place; the tail bytes become dead space reclaimed by
-            // the next compaction.
+            // the next compaction. (Growing into the footprint's padding is
+            // not attempted: a page written before footprints were counted
+            // may have a neighbour there.)
             let off = off as usize;
             self.data[off..off + data.len()].copy_from_slice(data);
             self.set_slot_entry(slot, off as u16, data.len() as u16);
@@ -323,7 +360,7 @@ impl Page {
         // Grow: logically free the old cell, then place a new one. Freeing
         // first lets compaction reclaim the old copy.
         self.set_slot_entry(slot, 0, 0);
-        if self.usable_free() < data.len() {
+        if self.usable_free() < footprint(data.len()) {
             // Roll back the slot entry so the page is unchanged on failure.
             self.set_slot_entry(slot, off, len);
             return Err(PageOpError::Full);
@@ -516,6 +553,61 @@ mod tests {
         for (s, data) in snapshot {
             assert_eq!(p.read(s).unwrap(), &data[..], "slot {s} corrupted");
         }
+    }
+
+    #[test]
+    fn forward_stub_fits_in_a_full_page_of_small_cells() {
+        // Regression: an empty hash bucket is a 5-byte cell. When a page
+        // of them is full to the last byte and one must move, the 7-byte
+        // forward stub left in its slot has to fit — it did not while a
+        // 5-byte cell counted as 5 bytes of page space.
+        let mut p = Page::new();
+        let mut cells = Vec::new();
+        while p.usable_free() >= 40 {
+            cells.push(p.insert(&[5u8; 5]).unwrap());
+        }
+        let rest = p.usable_free() - SLOT_ENTRY;
+        let last = p.insert(&vec![6u8; rest]).unwrap();
+        assert_eq!(p.usable_free(), 0, "page full to the last byte");
+        let before: Vec<_> = p
+            .occupied_slots()
+            .iter()
+            .map(|&s| (s, p.read(s).unwrap().to_vec()))
+            .collect();
+
+        let stub = [1u8, 2, 3, 4, 5, 6, 7];
+        p.update(cells[17], &stub).unwrap();
+        assert_eq!(p.read(cells[17]).unwrap(), &stub);
+        for (s, data) in before.into_iter().filter(|(s, _)| *s != cells[17]) {
+            assert_eq!(p.read(s).unwrap(), &data[..], "slot {s} corrupted");
+        }
+        assert_eq!(p.read(last).unwrap().len(), rest);
+    }
+
+    #[test]
+    fn pages_packed_before_footprints_compact_safely() {
+        // A page image from before footprints were counted: 5-byte cells
+        // packed back to back, more than footprints would allow.
+        let mut p = Page::new();
+        let n = (PAGE_SIZE - HEADER_SIZE) / (5 + SLOT_ENTRY);
+        for i in 0..n {
+            let off = PAGE_SIZE - (i + 1) * 5;
+            p.data[off..off + 5].copy_from_slice(&[i as u8; 5]);
+            p.set_slot_count(i as u16 + 1);
+            p.set_slot_entry(i as u16, off as u16, 5);
+        }
+        p.set_free_end((PAGE_SIZE - n * 5) as u16);
+        assert_eq!(p.usable_free(), 0, "saturates instead of underflowing");
+        assert!(!p.can_insert(1));
+        p.delete(0).unwrap();
+        p.compact();
+        for i in 1..n {
+            assert_eq!(p.read(i as u16).unwrap(), &[i as u8; 5], "slot {i}");
+        }
+        // Shrinking in place still works on such a page.
+        p.update(3, &[9u8; 2]).unwrap();
+        assert_eq!(p.read(3).unwrap(), &[9u8; 2]);
+        assert_eq!(p.read(4).unwrap(), &[4u8; 5]);
     }
 
     #[test]
