@@ -181,9 +181,8 @@ impl Database {
     }
 
     /// [`Database::volatile`] with explicit storage options (the engine is
-    /// forced to memory). The concurrency knobs (`shards`,
-    /// `lock_stripes`) are the usual reason to come here — e.g. the
-    /// `concurrency_core` bench's stripe-count-1 baseline.
+    /// forced to memory), e.g. a `shards` count or a slow-statement
+    /// threshold.
     pub fn volatile_with(options: StorageOptions) -> Database {
         let storage = Arc::new(Storage::volatile_with(options));
         Database::bootstrap(storage).expect("volatile bootstrap cannot fail")

@@ -1299,8 +1299,13 @@ impl Session {
         if sampled || slow_micros.is_some() || verb.eq_ignore_ascii_case("explain") {
             return self.execute_traced(src, verb, started, slow_micros);
         }
-        let stmt = match self.parse_cached(src) {
-            Ok(stmt) => stmt,
+        // Only a named `PREPARE`d statement skips the parser (`EXECUTE`
+        // counts the hit); every other text is parsed and counted a miss.
+        let stmt = match parse_statement(src) {
+            Ok(stmt) => {
+                self.engine().stats().prepared_miss();
+                stmt
+            }
             Err(e) => {
                 // A parse error is still a failed statement: tabort
                 // semantics take the open transaction down with it.
@@ -1311,31 +1316,6 @@ impl Session {
         let result = self.run(stmt);
         self.observe_statement(started);
         result
-    }
-
-    /// Parse through the session's transparent text-keyed cache: a hit
-    /// skips the lexer and parser entirely (the `PREPARE`-less half of
-    /// the prepared-statement surface). The cache is bounded and cleared
-    /// wholesale when full — statement texts either repeat heavily
-    /// (placeholdered workloads re-send identical bytes) or not at all.
-    fn parse_cached(&mut self, src: &str) -> std::result::Result<Statement, DdlError> {
-        if !self.stmt_cache_enabled {
-            let stmt = parse_statement(src)?;
-            self.engine().stats().prepared_miss();
-            return Ok(stmt);
-        }
-        if let Some(stmt) = self.stmt_cache.get(src) {
-            let stmt = stmt.clone();
-            self.engine().stats().prepared_hit();
-            return Ok(stmt);
-        }
-        let stmt = parse_statement(src)?;
-        self.engine().stats().prepared_miss();
-        if self.stmt_cache.len() >= crate::session::STMT_CACHE_CAP {
-            self.stmt_cache.clear();
-        }
-        self.stmt_cache.insert(src.to_string(), stmt.clone());
-        Ok(stmt)
     }
 
     /// The traced statement path: this session's span ring installed as
@@ -2008,7 +1988,7 @@ mod tests {
     }
 
     #[test]
-    fn transparent_stmt_cache_counts_hits_and_misses() {
+    fn repeated_text_parses_every_time_and_execute_counts_a_hit() {
         let mut s = session();
         s.execute("CREATE CLASS Cell { FIELD v; }").unwrap();
         let cell = s.execute("NEW Cell").unwrap();
@@ -2018,22 +1998,33 @@ mod tests {
             engine.stats().prepared_misses(),
         );
         let stmt = format!("CALL {cell} Touch SET v = v + 1");
-        s.execute(&stmt).unwrap();
-        assert_eq!(engine.stats().prepared_misses() - m0, 1, "first run parses");
-        s.execute(&stmt).unwrap();
-        s.execute(&stmt).unwrap();
+        for _ in 0..3 {
+            s.execute(&stmt).unwrap();
+        }
         assert_eq!(
-            engine.stats().prepared_hits() - h0,
-            2,
-            "repeats hit the cache"
+            engine.stats().prepared_misses() - m0,
+            3,
+            "a repeated text is parsed every time"
         );
+        assert_eq!(engine.stats().prepared_hits(), h0, "no text cache hits");
         assert_eq!(s.execute(&format!("GET {cell} v")).unwrap(), "3");
-        // Disabling the cache clears it and every run parses again.
-        s.set_stmt_cache(false);
-        let m1 = engine.stats().prepared_misses();
-        s.execute(&stmt).unwrap();
-        s.execute(&stmt).unwrap();
-        assert_eq!(engine.stats().prepared_misses() - m1, 2);
+        // A named PREPARE is the one cached path: EXECUTE skips the parser.
+        s.execute(&format!(
+            "PREPARE touch AS CALL {cell} Touch SET v = v + $1"
+        ))
+        .unwrap();
+        let (h1, m1) = (
+            engine.stats().prepared_hits(),
+            engine.stats().prepared_misses(),
+        );
+        s.execute("EXECUTE touch WITH 2").unwrap();
+        assert_eq!(engine.stats().prepared_hits() - h1, 1, "EXECUTE hits");
+        assert_eq!(
+            engine.stats().prepared_misses() - m1,
+            1,
+            "the EXECUTE text itself still parses"
+        );
+        assert_eq!(s.execute(&format!("GET {cell} v")).unwrap(), "5");
     }
 
     #[test]

@@ -95,8 +95,8 @@ impl EngineStats {
         }
     }
 
-    /// Count one statement served from a parse cache (the session's
-    /// transparent text-keyed cache or a named `PREPARE`d statement).
+    /// Count one statement served from a named `PREPARE`d statement
+    /// (`EXECUTE` skips the parser).
     pub(crate) fn prepared_hit(&self) {
         self.prepared_hits.fetch_add(1, Ordering::Relaxed);
     }
@@ -197,7 +197,7 @@ impl EngineStats {
         );
         let _ = writeln!(
             out,
-            "# HELP ode_prepared_hits Statements served from a session parse cache (transparent or PREPAREd)."
+            "# HELP ode_prepared_hits Statements served from a PREPAREd statement by EXECUTE."
         );
         let _ = writeln!(out, "# TYPE ode_prepared_hits counter");
         let _ = writeln!(out, "ode_prepared_hits {}", self.prepared_hits());

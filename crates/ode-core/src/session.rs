@@ -18,11 +18,6 @@ use ode_storage::{CommitTicket, TxnId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Bound on the transparent text-keyed statement cache; when full it is
-/// cleared wholesale (statement texts repeat heavily or not at all, so
-/// an LRU buys nothing over this).
-pub(crate) const STMT_CACHE_CAP: usize = 512;
-
 /// A commit whose durability wait was deferred
 /// ([`Session::set_defer_commits`]): logically committed, locks
 /// released, but not yet acknowledged-durable. The holder must call
@@ -72,12 +67,6 @@ pub struct Session {
     pending_commit: Option<PendingCommit>,
     /// Named statements (`PREPARE <name> AS …`).
     pub(crate) prepared: HashMap<String, crate::ddl::Statement>,
-    /// Transparent text-keyed parse cache ([`Session::execute`] consults
-    /// it before running the DDL parser).
-    pub(crate) stmt_cache: HashMap<String, crate::ddl::Statement>,
-    /// `false` disables the transparent cache (named `PREPARE`/`EXECUTE`
-    /// keeps working).
-    pub(crate) stmt_cache_enabled: bool,
 }
 
 impl Session {
@@ -95,8 +84,6 @@ impl Session {
             defer_commits: false,
             pending_commit: None,
             prepared: HashMap::new(),
-            stmt_cache: HashMap::new(),
-            stmt_cache_enabled: true,
         }
     }
 
@@ -108,14 +95,6 @@ impl Session {
     /// sessions' tickets onto one group-commit flush this way.
     pub fn set_defer_commits(&mut self, defer: bool) {
         self.defer_commits = defer;
-    }
-
-    /// Enable/disable the transparent text-keyed statement cache.
-    pub fn set_stmt_cache(&mut self, enabled: bool) {
-        self.stmt_cache_enabled = enabled;
-        if !enabled {
-            self.stmt_cache.clear();
-        }
     }
 
     /// Take the deferred commit of the last statement, if it produced

@@ -230,16 +230,10 @@ fn token_eq(presented: &str, expected: &str) -> bool {
     diff == 0
 }
 
-/// Wire-layer feature toggles (all default on; the `ode-server` binary
-/// exposes `--no-*` flags for paired benchmarking).
+/// Wire-layer options (the `ode-server` binary exposes
+/// `--no-piggyback`).
 #[derive(Debug, Clone, Copy)]
 pub struct ServerOptions {
-    /// Accept protocol-v2 batch frames. Off: batch frames get one
-    /// `ERR pipelining is disabled` reply.
-    pub pipeline: bool,
-    /// Sessions cache parsed statements by text (and serve
-    /// `PREPARE`/`EXECUTE`, which is independent of this toggle).
-    pub stmt_cache: bool,
     /// Defer commit durability waits and resolve them on the shared
     /// cross-session scheduler. Off: every statement's `commit_wait`
     /// runs inline before its reply, as protocol v1 always did.
@@ -248,11 +242,7 @@ pub struct ServerOptions {
 
 impl Default for ServerOptions {
     fn default() -> ServerOptions {
-        ServerOptions {
-            pipeline: true,
-            stmt_cache: true,
-            piggyback: true,
-        }
+        ServerOptions { piggyback: true }
     }
 }
 
@@ -505,7 +495,6 @@ fn serve_connection(
         }
     }
     let mut session = engine.session();
-    session.set_stmt_cache(options.stmt_cache);
     session.set_defer_commits(options.piggyback);
     let mut reply_buf = Vec::new();
     loop {
@@ -527,9 +516,6 @@ fn serve_connection(
                     }
                 }
                 write_frame(&mut stream, &reply)?;
-            }
-            Frame::Batch { .. } if !options.pipeline => {
-                write_frame(&mut stream, "ERR pipelining is disabled on this server")?;
             }
             Frame::Batch {
                 abort_on_error,
@@ -1012,21 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelining_disabled_rejects_batch_frames_with_a_text_reply() {
-        let options = ServerOptions {
-            pipeline: false,
-            ..ServerOptions::default()
-        };
-        let server = Server::start_with(Engine::volatile(), "127.0.0.1:0", "t", options).unwrap();
-        let mut c = client(&server, "t");
-        let err = c.exec_batch(&["SHOW DATABASES"], false).unwrap_err();
-        assert!(err.to_string().contains("pipelining is disabled"), "{err}");
-        // The text reply consumed the batch frame; v1 still works.
-        assert_eq!(c.exec("CREATE DATABASE d"), "");
-        server.shutdown();
-    }
-
-    #[test]
     fn dropped_connection_mid_batch_releases_all_locks() {
         let server = Server::start(Engine::volatile(), "127.0.0.1:0", "t").unwrap();
         let mut a = client(&server, "t");
@@ -1067,6 +1038,7 @@ mod tests {
         let oid = c.exec("NEW C");
         let db = engine.database("d").unwrap();
         let before = db.metrics().piggybacked_commits.get();
+        let flushes_before = db.metrics().snapshot().wal_group_commits;
         // Four autocommitting writes in one frame: their tickets resolve
         // on one scheduler round, so three of them piggyback. (Each must
         // actually change state — a no-op write commits without a WAL
@@ -1075,6 +1047,10 @@ mod tests {
         let replies = c.exec_batch(&[&set, &set, &set, &set], false).unwrap();
         assert!(replies.iter().all(|r| r == "OK"), "{replies:?}");
         assert_eq!(db.metrics().piggybacked_commits.get() - before, 3);
+        // ...and the four commits shared WAL flushes rather than each
+        // leading its own.
+        let flushes = db.metrics().snapshot().wal_group_commits - flushes_before;
+        assert!(flushes < 4, "{flushes} WAL flush rounds for 4 commits");
         server.shutdown();
     }
 

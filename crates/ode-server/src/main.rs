@@ -11,17 +11,23 @@
 //! the HTTP scrape endpoint (`GET /metrics`, `GET /healthz`), printed
 //! as `METRICS <addr>`; `--slow-ms N` traces every statement and logs
 //! the span tree of any statement slower than N milliseconds to
-//! stderr.
+//! stderr. `--no-piggyback` makes each commit wait on its own WAL
+//! flush instead of riding a shared one.
 //!
-//! Protocol-v2 amortization layers are on by default and individually
-//! switchable: `--no-pipeline` rejects batch frames, `--no-stmt-cache`
-//! disables the transparent per-session parse cache, `--no-piggyback`
-//! makes each commit wait on its own WAL flush instead of riding a
-//! shared one.
+//! A flag that takes a value and is given none is an error (exit 2),
+//! never a silent fall-back to a default such as the well-known token.
 
 use ode_core::Engine;
 use ode_server::{MetricsServer, Server, ServerOptions};
 use ode_storage::StorageOptions;
+
+/// The value following `flag`; exits 2 when the command line ends first.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next().unwrap_or_else(|| {
+        eprintln!("{flag} wants a value (try --help)");
+        std::process::exit(2);
+    })
+}
 
 fn main() {
     let mut root: Option<String> = None;
@@ -34,17 +40,15 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => root = args.next(),
-            "--addr" => addr = args.next().unwrap_or(addr),
-            "--token" => token = args.next().unwrap_or(token),
+            "--root" => root = Some(value(&mut args, "--root")),
+            "--addr" => addr = value(&mut args, "--addr"),
+            "--token" => token = value(&mut args, "--token"),
             "--volatile" => volatile = true,
-            "--metrics-addr" => metrics_addr = args.next(),
-            "--no-pipeline" => server_options.pipeline = false,
-            "--no-stmt-cache" => server_options.stmt_cache = false,
+            "--metrics-addr" => metrics_addr = Some(value(&mut args, "--metrics-addr")),
             "--no-piggyback" => server_options.piggyback = false,
-            "--slow-ms" => match args.next().map(|v| v.parse()) {
-                Some(Ok(ms)) => slow_ms = Some(ms),
-                _ => {
+            "--slow-ms" => match value(&mut args, "--slow-ms").parse() {
+                Ok(ms) => slow_ms = Some(ms),
+                Err(_) => {
                     eprintln!("--slow-ms wants an integer millisecond threshold");
                     std::process::exit(2);
                 }
@@ -53,7 +57,7 @@ fn main() {
                 println!(
                     "usage: ode-server [--root DIR | --volatile] [--addr HOST:PORT] \
                      [--token TOKEN] [--metrics-addr HOST:PORT] [--slow-ms N] \
-                     [--no-pipeline] [--no-stmt-cache] [--no-piggyback]"
+                     [--no-piggyback]"
                 );
                 return;
             }

@@ -209,9 +209,16 @@ impl DiskFile {
         self.read_header_raw()
     }
 
-    /// Overwrite the database header.
+    /// Overwrite the database header. The running page count only grows
+    /// here: the fuzzy checkpointer samples `page_count` and writes the
+    /// header while transactions keep allocating, and a header sampled
+    /// before a concurrent [`DiskFile::allocate_page`] must not roll the
+    /// count back (the new page would then read as `NoSuchPage`).
     pub fn write_header(&self, header: DbHeader) -> Result<()> {
-        *self.page_count.lock() = header.page_count;
+        {
+            let mut count = self.page_count.lock();
+            *count = (*count).max(header.page_count);
+        }
         self.write_page(0, &header.to_page())
     }
 
@@ -421,6 +428,20 @@ mod tests {
         std::fs::write(dw_path(&path), &frame).unwrap();
         let d = DiskFile::open(&path).unwrap();
         assert_eq!(d.read_page(1).unwrap().as_bytes(), good.as_bytes());
+    }
+
+    #[test]
+    fn a_stale_header_never_shrinks_the_running_page_count() {
+        let dir = TempDir::new("disk");
+        let d = DiskFile::create(&dir.file("db")).unwrap();
+        // A checkpointer samples the header, then a page is allocated
+        // before it writes the header back.
+        let mut h = d.read_header().unwrap();
+        h.page_count = d.page_count();
+        let id = d.allocate_page().unwrap();
+        d.write_header(h).unwrap();
+        assert_eq!(d.page_count(), id + 1);
+        assert!(d.read_page(id).is_ok());
     }
 
     #[test]

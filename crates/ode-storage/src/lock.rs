@@ -14,9 +14,10 @@
 //! mutex-guarded table with its own condvar. A key's stripe is a hash of
 //! the key, so unrelated lock/unlock traffic from different threads lands
 //! on different mutexes instead of funnelling through one process-wide
-//! lock (the scalability ceiling the `concurrency_core` bench measures).
-//! Stripe count 1 reproduces the original single-table manager exactly and
-//! is the benchmark baseline (`StorageOptions::lock_stripes`).
+//! lock. `Storage` always uses [`DEFAULT_LOCK_STRIPES`]; stripe count 1
+//! (see [`LockManager::with_config`]) reproduces the original single-table
+//! manager exactly, which the unit tests use to force same-stripe
+//! collisions.
 //!
 //! Grant, upgrade, and release touch only the key's stripe. Deadlock
 //! detection needs a *consistent* view of the waits-for graph across
@@ -830,8 +831,8 @@ mod tests {
         };
     }
 
-    // The striping baseline switch (satellite): stripe count 1 must pass
-    // the identical suite as the sharded default.
+    // Stripe count 1 puts every key on one stripe: the identical suite
+    // must pass there as on the striped default.
     lock_suite!(striped_default, DEFAULT_LOCK_STRIPES);
     lock_suite!(single_stripe, 1);
 

@@ -17,9 +17,8 @@
 //! latch, so writes to different pages — even in the same shard — run in
 //! parallel; the shard write lock is only taken to grow the vector. With
 //! one shard the store degrades to the original design — a process-wide
-//! `RwLock` where every page write excludes all other page access — which
-//! is the `shards = 1` baseline the `concurrency_core` bench measures
-//! against.
+//! `RwLock` where every page write excludes all other page access
+//! (`StorageOptions::shards = 1`).
 //!
 //! ## MVCC readers
 //!

@@ -134,19 +134,13 @@ pub struct StorageOptions {
     /// interval (disk engine only). `None` disables the thread; commits
     /// and trigger firings proceed concurrently with the checkpointer.
     pub checkpoint_interval: Option<Duration>,
-    /// Batch concurrent commits into one WAL write+fsync (leader/follower).
-    /// Disable to get the per-commit-flush baseline for benchmarking.
-    pub group_commit: bool,
     /// Fault injector routed through the WAL and data files (crash tests).
     pub fault: Option<Arc<FaultInjector>>,
     /// Concurrency-core shard count for the buffer pool, allocator, and
     /// transaction table (rounded to a power of two; the buffer pool also
     /// clamps to `buffer_pages`). `1` reproduces the old single-mutex
-    /// behavior and is the bench baseline.
+    /// behavior.
     pub shards: usize,
-    /// Lock-table stripe count (rounded up to a power of two). `1`
-    /// reproduces the old single-table lock manager.
-    pub lock_stripes: usize,
     /// Slow-statement threshold. When set, every session statement is
     /// traced and any statement slower than this many microseconds has
     /// its full span tree written to the slow log (stderr) and counted
@@ -164,10 +158,8 @@ impl Default for StorageOptions {
             lock_timeout: Duration::from_secs(10),
             checkpoint_every: 0,
             checkpoint_interval: None,
-            group_commit: true,
             fault: None,
             shards: crate::buffer::DEFAULT_POOL_SHARDS,
-            lock_stripes: crate::lock::DEFAULT_LOCK_STRIPES,
             slow_statement_micros: None,
         }
     }
@@ -442,12 +434,7 @@ impl Storage {
             }
             EngineKind::Memory => Store::Mem(MemStore::with_shards(options.shards)),
         };
-        let wal = Wal::open_with(
-            &dir.join("wal.log"),
-            options.fsync,
-            options.fault.clone(),
-            options.group_commit,
-        )?;
+        let wal = Wal::open_with(&dir.join("wal.log"), options.fsync, options.fault.clone())?;
         wal.reset()?;
         let storage = Storage::assemble(store, Some(wal), options, Some(dir.to_path_buf()));
         storage.bootstrap_roots()?;
@@ -479,12 +466,7 @@ impl Storage {
         };
         let wal_path = dir.join("wal.log");
         let records = Wal::read_all(&wal_path)?;
-        let wal = Wal::open_with(
-            &wal_path,
-            options.fsync,
-            options.fault.clone(),
-            options.group_commit,
-        )?;
+        let wal = Wal::open_with(&wal_path, options.fsync, options.fault.clone())?;
         let storage = Storage::assemble(store, Some(wal), options, Some(dir.to_path_buf()));
         storage.replay(&records)?;
         storage.rebuild_alloc()?;
@@ -501,9 +483,8 @@ impl Storage {
     }
 
     /// [`Storage::volatile`] with explicit options (engine is forced to
-    /// memory; the concurrency knobs — `shards`, `lock_stripes`,
-    /// `lock_timeout` — are what callers usually come here for, e.g. the
-    /// stripe-count-1 bench baseline).
+    /// memory; `shards` and `lock_timeout` are what callers usually come
+    /// here for).
     pub fn volatile_with(options: StorageOptions) -> Storage {
         let options = StorageOptions {
             engine: EngineKind::Memory,
@@ -553,11 +534,7 @@ impl Storage {
         Storage {
             store,
             wal,
-            locks: LockManager::with_config(
-                options.lock_timeout,
-                Arc::clone(&metrics),
-                options.lock_stripes,
-            ),
+            locks: LockManager::with_metrics(options.lock_timeout, Arc::clone(&metrics)),
             txns: Arc::new(TxnManager::with_config(
                 options.lock_timeout,
                 Arc::clone(&metrics),

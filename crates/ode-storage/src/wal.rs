@@ -343,26 +343,21 @@ pub struct Wal {
     /// Whether commit flushes call fsync. Off by default for tests/benches;
     /// on for durability-critical deployments.
     fsync: bool,
-    /// Leader/follower batching when true; per-committer flush cycles when
-    /// false (the pre-refactor baseline, kept for benchmarking).
-    group_commit: bool,
     metrics: Arc<Metrics>,
 }
 
 impl Wal {
     /// Open (creating if missing) the log at `path`.
     pub fn open(path: &Path, fsync: bool) -> Result<Wal> {
-        Wal::open_with(path, fsync, None, true)
+        Wal::open_with(path, fsync, None)
     }
 
-    /// Open with an optional fault injector and an explicit group-commit
-    /// mode. A torn or corrupt tail left by a crash is truncated here so
+    /// Open with an optional fault injector. A torn or corrupt tail left by a crash is truncated here so
     /// fresh appends can never land behind unreachable garbage.
     pub fn open_with(
         path: &Path,
         fsync: bool,
         injector: Option<Arc<FaultInjector>>,
-        group_commit: bool,
     ) -> Result<Wal> {
         let file = std::fs::OpenOptions::new()
             .read(true)
@@ -416,7 +411,6 @@ impl Wal {
             base_lsn: std::sync::atomic::AtomicU64::new(base),
             injector,
             fsync,
-            group_commit,
             metrics: Arc::new(Metrics::new()),
         })
     }
@@ -469,11 +463,9 @@ impl Wal {
     }
 
     /// Block until the record ending at `target` is durable, recording the
-    /// wait in `commit_flush_wait_micros`. With group commit enabled the
-    /// first committer in becomes the leader and flushes the whole pending
-    /// tail (one write+fsync for every commit in it); the rest block on the
-    /// watermark. With group commit disabled every caller runs its own
-    /// flush cycle — the per-commit-fsync baseline.
+    /// wait in `commit_flush_wait_micros`. The first committer in becomes
+    /// the leader and flushes the whole pending tail (one write+fsync for
+    /// every commit in it); the rest block on the watermark.
     pub fn commit_wait(&self, target: u64) -> Result<()> {
         let t0 = std::time::Instant::now();
         let result = self.wait_durable(target);
@@ -502,14 +494,11 @@ impl Wal {
 
     fn wait_durable(&self, target: u64) -> Result<()> {
         let mut st = self.flush.lock();
-        // In baseline (non-group) mode each committer must pay its own
-        // fsync even if a concurrent flush already covered its LSN.
-        let mut flushed_myself = false;
         loop {
             if let Some(msg) = &st.poisoned {
                 return Err(StorageError::WalPoisoned(msg.clone()));
             }
-            if st.flushed_lsn >= target && (self.group_commit || flushed_myself) {
+            if st.flushed_lsn >= target {
                 return Ok(());
             }
             if st.leader_active {
@@ -539,7 +528,6 @@ impl Wal {
                         self.metrics.wal_group_commits.inc();
                         self.metrics.wal_group_size_sum.add(commits);
                     }
-                    flushed_myself = true;
                     self.durable.notify_all();
                 }
                 Err(e) => {
@@ -976,7 +964,7 @@ mod tests {
     fn group_commit_batches_concurrent_committers() {
         let dir = TempDir::new("wal");
         let path = dir.file("log");
-        let mut wal = Wal::open_with(&path, true, None, true).unwrap();
+        let mut wal = Wal::open(&path, true).unwrap();
         let metrics = Arc::new(Metrics::new());
         wal.set_metrics(Arc::clone(&metrics));
         let wal = Arc::new(wal);
@@ -1009,24 +997,28 @@ mod tests {
     }
 
     #[test]
-    fn solo_mode_fsyncs_every_commit() {
+    fn sequential_commits_each_fsync_once() {
+        // With no concurrent committer to share a flush with, each commit
+        // leads its own batch: one write+fsync per commit, no more.
         let dir = TempDir::new("wal");
-        let mut wal = Wal::open_with(&dir.file("log"), true, None, false).unwrap();
+        let mut wal = Wal::open(&dir.file("log"), true).unwrap();
         let metrics = Arc::new(Metrics::new());
         wal.set_metrics(Arc::clone(&metrics));
         for t in 0..4 {
             let lsn = wal.append(&LogRecord::Commit { txn: t });
             wal.commit_wait(lsn).unwrap();
         }
-        assert_eq!(metrics.snapshot().wal_fsyncs, 4);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.wal_fsyncs, 4);
+        assert_eq!(snap.wal_group_commits, 4);
+        assert_eq!(snap.wal_group_size_sum, 4);
     }
 
     #[test]
     fn failed_fsync_poisons_the_log() {
         let dir = TempDir::new("wal");
         let injector = Arc::new(crate::fault::FaultInjector::new());
-        let wal =
-            Wal::open_with(&dir.file("log"), true, Some(Arc::clone(&injector)), true).unwrap();
+        let wal = Wal::open_with(&dir.file("log"), true, Some(Arc::clone(&injector))).unwrap();
         injector.arm_fail_fsync();
         let lsn = wal.append(&LogRecord::Commit { txn: 1 });
         assert!(matches!(

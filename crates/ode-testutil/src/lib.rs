@@ -208,8 +208,8 @@ impl WireClient {
         self.read_frame_into_scratch()?;
         let buf = &self.rbuf;
         if buf.first() != Some(&BATCH_MAGIC) {
-            // A plain-text reply to a batch frame: an old server, or one
-            // with pipelining disabled. Surface the message.
+            // A plain-text reply to a batch frame (a server that predates
+            // protocol v2). Surface the message.
             return Err(bad(format!(
                 "expected batch reply, got: {}",
                 String::from_utf8_lossy(buf)

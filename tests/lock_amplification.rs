@@ -56,6 +56,17 @@ fn gauge_class(db: &Database, with_trigger: bool) {
     db.register_class(&td).unwrap();
 }
 
+/// Rounds of the two-reader schedule in [`run_concurrent_peeks`].
+const ROUNDS: usize = 20;
+
+/// Two readers, `ROUNDS` rounds. In each round both open a transaction,
+/// Peek the shared gauge (and, when armed, post the Seal that completes
+/// the trigger), then meet at a barrier *before* either commits, so both
+/// hold their locks inside the same window every round — the schedule
+/// does not depend on how the host happens to interleave the threads.
+/// A second barrier ends the round once both have committed or aborted,
+/// so a deadlock victim cannot start its next round and re-take a shared
+/// lock ahead of the survivor's pending upgrade.
 fn run_concurrent_peeks(
     with_trigger: bool,
 ) -> (
@@ -81,32 +92,46 @@ fn run_concurrent_peeks(
     db.metrics().reset();
     db.storage().reset_lock_stats();
     let aborts = Arc::new(AtomicU32::new(0));
-    let barrier = Arc::new(Barrier::new(4));
-    let threads: Vec<_> = (0..4)
+    let in_window = Arc::new(Barrier::new(2));
+    let round_done = Arc::new(Barrier::new(2));
+    let threads: Vec<_> = (0..2)
         .map(|_| {
             let db = Arc::clone(&db);
             let aborts = Arc::clone(&aborts);
-            let barrier = Arc::clone(&barrier);
+            let in_window = Arc::clone(&in_window);
+            let round_done = Arc::clone(&round_done);
             std::thread::spawn(move || {
-                barrier.wait();
-                for _ in 0..300 {
+                // Errors are collected, not asserted here: a panicking
+                // thread would leave its partner parked on a barrier.
+                let mut unexpected = Vec::new();
+                for _ in 0..ROUNDS {
                     let result = db.with_txn(|txn| {
                         db.invoke(txn, gauge, "Peek", |_g: &mut Gauge| Ok(()))?;
                         if with_trigger {
                             db.post_user_event(txn, gauge, "Seal")?;
                         }
+                        in_window.wait();
                         Ok(())
                     });
-                    if let Err(e) = result {
-                        assert!(e.is_abort(), "only deadlock aborts expected: {e}");
-                        aborts.fetch_add(1, Ordering::SeqCst);
+                    round_done.wait();
+                    match result {
+                        Ok(()) => {}
+                        Err(e) if e.is_abort() => {
+                            aborts.fetch_add(1, Ordering::SeqCst);
+                        }
+                        Err(e) => unexpected.push(e.to_string()),
                     }
                 }
+                unexpected
             })
         })
         .collect();
     for t in threads {
-        t.join().unwrap();
+        let unexpected = t.join().unwrap();
+        assert!(
+            unexpected.is_empty(),
+            "only deadlock aborts expected: {unexpected:?}"
+        );
     }
     (
         db.storage().lock_stats(),
@@ -193,30 +218,20 @@ fn snapshot_readers_take_no_locks_even_with_triggers_armed() {
 
 #[test]
 fn triggers_amplify_reads_into_write_conflicts() {
-    // Observing a conflict needs two threads inside the same lock window,
-    // which a loaded single-core host can fail to schedule in any one
-    // round (every thread runs its whole timeslice uncontended), so retry
-    // a few rounds before declaring the amplification missing.
-    for round in 0.. {
-        let (stats, snap, aborts) = run_concurrent_peeks(true);
-        // The §6 mechanism itself is deterministic: every posting advances
-        // the persistent FSM state, whose read-modify-write is an S→X
-        // upgrade.
-        assert!(stats.upgrades > 0, "expected S→X upgrades, got {stats:?}");
-        assert_eq!(
-            snap.lock_upgrades, stats.upgrades,
-            "metrics registry and LockStats count the same upgrade sites"
-        );
-        // Both counters were reset together, so victims agree too.
-        assert_eq!(snap.lock_deadlock_victims, stats.deadlocks);
-        // The trigger machinery forces writes on behalf of reads: waits
-        // and/or deadlock aborts appear.
-        if stats.waits > 0 || stats.deadlocks > 0 || aborts > 0 {
-            return;
-        }
-        assert!(
-            round < 9,
-            "expected lock amplification in 10 rounds, got {stats:?} aborts={aborts}"
-        );
-    }
+    let (stats, snap, aborts) = run_concurrent_peeks(true);
+    // Every posting advances the persistent FSM state, whose
+    // read-modify-write is an S→X upgrade.
+    assert!(stats.upgrades > 0, "expected S→X upgrades, got {stats:?}");
+    assert_eq!(
+        snap.lock_upgrades, stats.upgrades,
+        "metrics registry and LockStats count the same upgrade sites"
+    );
+    // Both counters were reset together, so victims agree too.
+    assert_eq!(snap.lock_deadlock_victims, stats.deadlocks);
+    // The trigger machinery forces writes on behalf of reads: with both
+    // readers inside the lock window, waits and/or deadlock aborts appear.
+    assert!(
+        stats.waits > 0 || stats.deadlocks > 0 || aborts > 0,
+        "expected lock amplification, got {stats:?} aborts={aborts}"
+    );
 }
