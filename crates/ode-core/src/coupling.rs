@@ -119,7 +119,7 @@ impl Database {
     /// the standard response is to rerun the transaction. `tabort` and
     /// other application errors are *not* retried.
     ///
-    /// Each rerun waits first ([`retry_backoff`]): rerun at once, two
+    /// Each rerun waits first (`retry_backoff`): rerun at once, two
     /// symmetric writers can collide again on every attempt.
     pub fn with_txn_retry<R>(
         &self,
@@ -334,10 +334,10 @@ impl Database {
             let mut span = ode_trace::span(ode_trace::SpanKind::SystemTxn, coupling);
             span.payload(stxn.0, depends_on.map_or(0, |t| t.0));
             self.metrics()
-                .emit(|| ode_obs::TraceEvent::SystemTxnStarted {
+                .emit(|| ode_obs::FlightEvent::SystemTxnStarted {
                     txn: stxn.0,
                     parent: depends_on.map(|t| t.0),
-                    coupling,
+                    coupling: ode_obs::SmallStr::new(coupling),
                 });
             if let Some(on) = depends_on {
                 self.storage.add_commit_dependency(stxn, on)?;

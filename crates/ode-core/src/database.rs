@@ -285,12 +285,6 @@ impl Database {
         self.storage.metrics()
     }
 
-    /// Attach (or with `None`, detach) a structured trace sink receiving
-    /// [`ode_obs::TraceEvent`]s from every engine layer.
-    pub fn set_trace_sink(&self, sink: Option<Arc<dyn ode_obs::TraceSink>>) {
-        self.storage.metrics().set_sink(sink);
-    }
-
     /// Snapshot the always-on flight recorder: the last
     /// [`ode_obs::DEFAULT_FLIGHT_CAPACITY`] trace occurrences across every
     /// engine layer, oldest-first, each with a monotonic timestamp and the

@@ -27,7 +27,8 @@
 //! ```
 //!
 //! The `WHEN … COUPLING` span is handed verbatim to the existing event
-//! expression parser, resolved against the class's [`Alphabet`] — so
+//! expression parser, resolved against the class's
+//! [`Alphabet`](ode_events::Alphabet) — so
 //! text-defined triggers compile to the *same* FSMs and run on the same
 //! coupling machinery as Rust-defined ones ([`crate::class::ClassBuilder`]
 //! is reused underneath). Classes defined here have named `f64` fields;
@@ -36,7 +37,7 @@
 //! parameter (the paper's `AutoRaiseLimit(float amount)`).
 //!
 //! Errors carry the byte offset into the statement text
-//! ([`DdlError::at`]); offsets inside an event expression are rebased
+//! (`DdlError::at`); offsets inside an event expression are rebased
 //! onto the full statement, so `CREATE TRIGGER … WHEN after Typo …`
 //! points at `Typo` in the original text.
 //!
@@ -1318,8 +1319,8 @@ impl Session {
         result
     }
 
-    /// The traced statement path: this session's span ring installed as
-    /// the ambient trace context, a `statement` root span (named by the
+    /// The traced statement path: a fresh span list installed as the
+    /// ambient trace context, a `statement` root span (named by the
     /// leading verb) with a `parse` child — every layer below (locking,
     /// posting, FSM advances, coupling-mode system transactions, the WAL
     /// flush wait) contributes its spans through the thread-local.
@@ -1331,8 +1332,7 @@ impl Session {
         slow_micros: Option<u64>,
     ) -> std::result::Result<String, DdlError> {
         let trace_id = ode_trace::next_trace_id();
-        let buf = Arc::clone(&self.trace_buf);
-        let guard = ode_trace::install(Arc::clone(&buf), trace_id);
+        let guard = ode_trace::install(trace_id);
         let root = ode_trace::span(ode_trace::SpanKind::Statement, verb);
         let parsed = {
             let _parse = ode_trace::span(ode_trace::SpanKind::Parse, "");
@@ -1341,8 +1341,8 @@ impl Session {
         let (stmt, explain) = match parsed {
             Ok(Statement::Explain(inner)) => (*inner, true),
             Ok(stmt) => (stmt, false),
-            // `root` and `guard` unwind here; the aborted trace is left in
-            // the ring and simply never rendered.
+            // `root` and `guard` unwind here, discarding the aborted
+            // trace unrendered.
             Err(e) => {
                 self.abort_open_txn();
                 return Err(e);
@@ -1362,9 +1362,9 @@ impl Session {
             }
         }
         drop(root);
-        drop(guard);
+        let spans = guard.finish();
         self.observe_statement(started);
-        let tree = ode_trace::render_tree(trace_id, &buf.trace(trace_id));
+        let tree = ode_trace::render_tree(trace_id, &spans);
         if let Some(threshold) = slow_micros {
             let elapsed = started.elapsed().as_micros() as u64;
             if elapsed > threshold {

@@ -26,20 +26,20 @@
 //!
 //! Steady-state posting (the §6 cost model) goes through a
 //! per-transaction cache: the first advance of a trigger instance reads
-//! and decodes its state record once into [`CachedTriggerState`]; every
+//! and decodes its state record once into `CachedTriggerState`; every
 //! later advance in the same transaction hits the decoded struct and
 //! never touches storage. At commit, one pass
-//! ([`Database::flush_trigger_states`]) settles every instance whose FSM
+//! (`Database::flush_trigger_states`) settles every instance whose FSM
 //! moved: it always takes the X lock — §6's read-becomes-write, kept
 //! exactly — but writes only a statenum that differs from the stored one,
 //! patched into the retained on-disk image ([`patch_u32_le`]). A cycle
 //! that lands back in its stored state (a perpetual trigger after each
 //! firing) is settled by the lock alone: no WAL record, no version, no
 //! dirty page. Aborts just drop the cache. Names travel as interned
-//! [`Sym`](crate::intern::Sym)s and
-//! `Arc`s, accounting goes through the lock-free `ode-obs` counters, and
-//! the index lookup fills a reusable per-transaction scratch buffer — a
-//! steady-state post acquires no mutex and allocates no `String`.
+//! `Sym`s and `Arc`s, accounting goes through the lock-free `ode-obs`
+//! counters, and the index lookup fills a reusable per-transaction
+//! scratch buffer — a steady-state post acquires no mutex and allocates
+//! no `String`.
 //!
 //! ## Snapshot readers
 //!
@@ -446,7 +446,7 @@ impl Database {
         }
         let metrics = self.metrics();
         metrics.events_posted.inc();
-        metrics.emit(|| ode_obs::TraceEvent::EventPosted {
+        metrics.emit(|| ode_obs::FlightEvent::EventPosted {
             event: event.0,
             anchor: anchor.to_u64(),
         });
@@ -732,9 +732,15 @@ impl Database {
                 ode_obs::coupling_label::INDEPENDENT
             }
         };
-        metrics.emit(|| ode_obs::TraceEvent::TriggerFired {
-            trigger: &firing.trigger_name,
-            coupling,
+        // Open the action span first so the TriggerFired record is
+        // stamped with it.
+        let mut action_span = ode_trace::span(ode_trace::SpanKind::Action, "");
+        if action_span.is_recording() {
+            action_span.rename(&firing.trigger_name);
+        }
+        metrics.emit(|| ode_obs::FlightEvent::TriggerFired {
+            trigger: ode_obs::SmallStr::new(&firing.trigger_name),
+            coupling: ode_obs::SmallStr::new(coupling),
         });
         let mut ctx = TriggerCtx {
             db: self,
@@ -745,10 +751,6 @@ impl Database {
             anchors: &firing.anchors,
             event_args: firing.event_args.as_deref(),
         };
-        let mut action_span = ode_trace::span(ode_trace::SpanKind::Action, "");
-        if action_span.is_recording() {
-            action_span.rename(&firing.trigger_name);
-        }
         let action_started = std::time::Instant::now();
         let result = (info.action)(&mut ctx);
         metrics

@@ -49,9 +49,6 @@ pub struct Session {
     engine: Arc<Engine>,
     current: Option<(String, Arc<Database>)>,
     txn: Option<TxnId>,
-    /// This session's private span ring — sessions never contend on a
-    /// shared trace structure.
-    pub(crate) trace_buf: Arc<ode_trace::TraceBuffer>,
     pub(crate) trace_mode: TraceMode,
     /// Statements executed since the last sampled trace.
     pub(crate) trace_countdown: u64,
@@ -77,7 +74,6 @@ impl Session {
             engine,
             current: None,
             txn: None,
-            trace_buf: Arc::new(ode_trace::TraceBuffer::new()),
             trace_mode: TraceMode::Off,
             trace_countdown: 0,
             last_trace: None,

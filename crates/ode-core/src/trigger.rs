@@ -23,10 +23,9 @@
 //!
 //! On disk the class and trigger are stored *by name* (robust against
 //! id reassignment between sessions); in memory they are interned
-//! [`Sym`]s so the posting hot path never touches a `String`. Shared
+//! `Sym`s so the posting hot path never touches a `String`. Shared
 //! fields (`params`, `anchors`) sit behind `Arc`s, making the
-//! record — and the [`Firing`](crate::post::Firing)s cut from it —
-//! cheap to clone.
+//! record — and the `Firing`s cut from it — cheap to clone.
 //!
 //! [`TriggerId`] is, as in the paper, simply the persistent pointer to the
 //! state record.

@@ -24,7 +24,7 @@
 use crate::ast::{Alphabet, TriggerEvent};
 use crate::event::{EventId, MaskId, Symbol};
 use crate::nfa::Nfa;
-use ode_obs::{Metrics, TraceEvent};
+use ode_obs::{FlightEvent, Metrics, SmallStr};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -134,7 +134,7 @@ impl Dfa {
     /// Like [`Dfa::compile`], but instrumented: records compile time and
     /// NFA/DFA state counts in `metrics`, attaches the registry to the
     /// returned machine (so its run-time transitions and mask evaluations
-    /// are counted too), and emits [`TraceEvent::FsmCompiled`] naming the
+    /// are counted too), and emits [`FlightEvent::FsmCompiled`] naming the
     /// trigger.
     pub fn compile_observed(
         trigger: &TriggerEvent,
@@ -150,8 +150,8 @@ impl Dfa {
         metrics.fsm_compile_nanos.add(nanos);
         metrics.nfa_states.add(nfa_states);
         metrics.fsm_states.add(dfa.len() as u64);
-        metrics.emit(|| TraceEvent::FsmCompiled {
-            trigger: name,
+        metrics.emit(|| FlightEvent::FsmCompiled {
+            trigger: SmallStr::new(name),
             nfa_states,
             dfa_states: dfa.len() as u64,
             nanos,

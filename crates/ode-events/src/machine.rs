@@ -20,7 +20,7 @@
 
 use crate::dfa::Dfa;
 use crate::event::{EventId, MaskId, Symbol};
-use ode_obs::TraceEvent;
+use ode_obs::{FlightEvent, SmallStr};
 
 /// Safety bound on mask-evaluation cascades. Pathological expressions
 /// (e.g. a starred nullable mask) could loop; hitting the bound kills the
@@ -83,8 +83,8 @@ impl Dfa {
         };
         if let Some(metrics) = &self.metrics {
             metrics.fsm_transitions.inc();
-            metrics.emit(|| TraceEvent::FsmAdvanced {
-                trigger: self.trace_name(),
+            metrics.emit(|| FlightEvent::FsmAdvanced {
+                trigger: SmallStr::new(self.trace_name()),
                 from_state: from,
                 to_state: next,
                 pseudo: None,
@@ -144,8 +144,8 @@ impl Dfa {
                 match s.next(symbol) {
                     Some(next) if next != state => {
                         if let Some(metrics) = &self.metrics {
-                            metrics.emit(|| TraceEvent::FsmAdvanced {
-                                trigger: self.trace_name(),
+                            metrics.emit(|| FlightEvent::FsmAdvanced {
+                                trigger: SmallStr::new(self.trace_name()),
                                 from_state: state,
                                 to_state: next,
                                 pseudo: Some(truth),

@@ -39,17 +39,19 @@
 //! preserves a [`FlightDump`] for post-mortem inspection (and echoes it
 //! to stderr when `ODE_LOCK_DEBUG` is set).
 //!
-//! A [`TraceSink`] can additionally be attached to receive structured
-//! [`TraceEvent`]s at the moments the counters tick. When both the
-//! recorder and the sink are disabled the hot path pays two relaxed
-//! boolean loads and event payloads are never constructed.
+//! [`FlightEvent`] is the engine's one event type: every layer builds it
+//! inside the closure it passes to [`Metrics::emit`], which runs only
+//! while the recorder is enabled. With the recorder disabled the hot
+//! path pays one relaxed boolean load and no payload is constructed.
 
 #![warn(missing_docs)]
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::Instant;
+
+pub use ode_trace::{SmallStr, SMALL_STR_CAP};
 
 /// A single monotonically increasing, lock-free counter.
 #[derive(Default)]
@@ -109,12 +111,6 @@ impl Gauge {
     /// Current level.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero (benchmarks between phases; the owner republishes on
-    /// its next change).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -357,15 +353,15 @@ impl std::fmt::Debug for HistogramSnapshot {
 }
 
 // ---------------------------------------------------------------------
-// Trace events
+// Flight recorder
 // ---------------------------------------------------------------------
 
-/// A structured trace event, recorded by the flight recorder and emitted
-/// to an attached [`TraceSink`] at the moment the corresponding counter
-/// ticks. Borrowed fields keep emission allocation-free.
+/// A structured event, recorded by the flight recorder at the moment the
+/// corresponding counter ticks. `Copy` and fixed-size: name fields are
+/// inlined as [`SmallStr`]s, so recording never allocates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)] // variant fields are self-describing
-pub enum TraceEvent<'a> {
+pub enum FlightEvent {
     /// A lock request had to wait for an incompatible holder.
     LockWait { txn: u64, exclusive: bool },
     /// A waiting lock request was chosen as a deadlock victim.
@@ -382,7 +378,7 @@ pub enum TraceEvent<'a> {
     TxnAbort { txn: u64 },
     /// A trigger event expression was compiled to an FSM.
     FsmCompiled {
-        trigger: &'a str,
+        trigger: SmallStr,
         nfa_states: u64,
         dfa_states: u64,
         nanos: u64,
@@ -390,12 +386,15 @@ pub enum TraceEvent<'a> {
     /// A basic event was posted to an object.
     EventPosted { event: u32, anchor: u64 },
     /// A trigger action ran.
-    TriggerFired { trigger: &'a str, coupling: &'a str },
+    TriggerFired {
+        trigger: SmallStr,
+        coupling: SmallStr,
+    },
     /// A trigger FSM advanced from one state to another. `pseudo` is
     /// `None` for a real posted event, `Some(truth)` for a mask
     /// True/False pseudo-event consumed during quiescence (§5.4.5).
     FsmAdvanced {
-        trigger: &'a str,
+        trigger: SmallStr,
         from_state: u32,
         to_state: u32,
         pseudo: Option<bool>,
@@ -406,185 +405,18 @@ pub enum TraceEvent<'a> {
     SystemTxnStarted {
         txn: u64,
         parent: Option<u64>,
-        coupling: &'a str,
+        coupling: SmallStr,
     },
     /// A transaction's commit record became durable at `lsn` (after the
     /// group-commit flush it joined reached the disk).
     CommitDurable { txn: u64, lsn: u64 },
 }
 
-/// Receiver for [`TraceEvent`]s. Implementations must be cheap and must
-/// not call back into the database (they run under engine-internal locks).
-pub trait TraceSink: Send + Sync {
-    /// Called once per traced occurrence.
-    fn on_event(&self, event: &TraceEvent<'_>);
-}
-
-// ---------------------------------------------------------------------
-// Flight recorder
-// ---------------------------------------------------------------------
-
-/// Maximum bytes of a name stored inline in a [`SmallStr`].
-pub const SMALL_STR_CAP: usize = 23;
-
-/// A fixed-capacity inline string, so [`FlightRecord`]s stay `Copy` and
-/// allocation-free. Longer names are truncated at a char boundary.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SmallStr {
-    len: u8,
-    bytes: [u8; SMALL_STR_CAP],
-}
-
-impl SmallStr {
-    /// Store `s`, truncating to [`SMALL_STR_CAP`] bytes at a char
-    /// boundary.
-    pub fn new(s: &str) -> SmallStr {
-        let mut n = s.len().min(SMALL_STR_CAP);
-        while n > 0 && !s.is_char_boundary(n) {
-            n -= 1;
-        }
-        let mut bytes = [0u8; SMALL_STR_CAP];
-        bytes[..n].copy_from_slice(&s.as_bytes()[..n]);
-        SmallStr {
-            len: n as u8,
-            bytes,
-        }
-    }
-
-    /// The stored string.
-    pub fn as_str(&self) -> &str {
-        let n = (self.len as usize).min(SMALL_STR_CAP);
-        std::str::from_utf8(&self.bytes[..n]).unwrap_or("")
-    }
-}
-
-impl std::fmt::Debug for SmallStr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.as_str().fmt(f)
-    }
-}
-
-impl std::fmt::Display for SmallStr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The owned, compact (`Copy`, fixed-size) form of a [`TraceEvent`],
-/// stored in the flight recorder's ring. Name fields are inlined as
-/// [`SmallStr`]s.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(missing_docs)] // mirrors TraceEvent, whose variants are documented
-pub enum FlightEvent {
-    LockWait {
-        txn: u64,
-        exclusive: bool,
-    },
-    DeadlockVictim {
-        txn: u64,
-    },
-    WalFsync {
-        bytes_flushed: u64,
-    },
-    BufferEviction {
-        page: u32,
-    },
-    BtreeSplit {
-        root: bool,
-    },
-    TxnCommit {
-        txn: u64,
-    },
-    TxnAbort {
-        txn: u64,
-    },
-    FsmCompiled {
-        trigger: SmallStr,
-        nfa_states: u64,
-        dfa_states: u64,
-        nanos: u64,
-    },
-    EventPosted {
-        event: u32,
-        anchor: u64,
-    },
-    TriggerFired {
-        trigger: SmallStr,
-        coupling: SmallStr,
-    },
-    FsmAdvanced {
-        trigger: SmallStr,
-        from_state: u32,
-        to_state: u32,
-        pseudo: Option<bool>,
-    },
-    SystemTxnStarted {
-        txn: u64,
-        parent: Option<u64>,
-        coupling: SmallStr,
-    },
-    CommitDurable {
-        txn: u64,
-        lsn: u64,
-    },
-}
-
-impl From<&TraceEvent<'_>> for FlightEvent {
-    fn from(e: &TraceEvent<'_>) -> FlightEvent {
-        match *e {
-            TraceEvent::LockWait { txn, exclusive } => FlightEvent::LockWait { txn, exclusive },
-            TraceEvent::DeadlockVictim { txn } => FlightEvent::DeadlockVictim { txn },
-            TraceEvent::WalFsync { bytes_flushed } => FlightEvent::WalFsync { bytes_flushed },
-            TraceEvent::BufferEviction { page } => FlightEvent::BufferEviction { page },
-            TraceEvent::BtreeSplit { root } => FlightEvent::BtreeSplit { root },
-            TraceEvent::TxnCommit { txn } => FlightEvent::TxnCommit { txn },
-            TraceEvent::TxnAbort { txn } => FlightEvent::TxnAbort { txn },
-            TraceEvent::FsmCompiled {
-                trigger,
-                nfa_states,
-                dfa_states,
-                nanos,
-            } => FlightEvent::FsmCompiled {
-                trigger: SmallStr::new(trigger),
-                nfa_states,
-                dfa_states,
-                nanos,
-            },
-            TraceEvent::EventPosted { event, anchor } => FlightEvent::EventPosted { event, anchor },
-            TraceEvent::TriggerFired { trigger, coupling } => FlightEvent::TriggerFired {
-                trigger: SmallStr::new(trigger),
-                coupling: SmallStr::new(coupling),
-            },
-            TraceEvent::FsmAdvanced {
-                trigger,
-                from_state,
-                to_state,
-                pseudo,
-            } => FlightEvent::FsmAdvanced {
-                trigger: SmallStr::new(trigger),
-                from_state,
-                to_state,
-                pseudo,
-            },
-            TraceEvent::SystemTxnStarted {
-                txn,
-                parent,
-                coupling,
-            } => FlightEvent::SystemTxnStarted {
-                txn,
-                parent,
-                coupling: SmallStr::new(coupling),
-            },
-            TraceEvent::CommitDurable { txn, lsn } => FlightEvent::CommitDurable { txn, lsn },
-        }
-    }
-}
-
 /// One entry in the flight recorder: a global sequence number, a
 /// monotonic timestamp (nanoseconds since the recorder was created),
 /// the compact event, and — when the emitting thread was inside a
 /// traced statement — the ambient `ode-trace` identity, so the
-/// engine-global flight log can be joined against per-session span
+/// engine-global flight log can be joined against statement span
 /// trees.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightRecord {
@@ -797,8 +629,6 @@ macro_rules! metrics {
             $( $(#[doc = $cdoc])+ pub $cname: Counter, )+
             $( $(#[doc = $gdoc])+ pub $gname: Gauge, )+
             $( $(#[doc = $hdoc])+ pub $hname: Histogram, )+
-            has_sink: AtomicBool,
-            sink: RwLock<Option<Arc<dyn TraceSink>>>,
             flight_enabled: AtomicBool,
             flight: FlightRecorder,
             dumps: Mutex<Vec<FlightDump>>,
@@ -814,15 +644,13 @@ macro_rules! metrics {
         }
 
         impl Metrics {
-            /// A fresh registry with all counters at zero, an empty
-            /// flight recorder (enabled), and no sink.
+            /// A fresh registry with all counters at zero and an empty
+            /// flight recorder (enabled).
             pub fn new() -> Metrics {
                 Metrics {
                     $( $cname: Counter::new(), )+
                     $( $gname: Gauge::new(), )+
                     $( $hname: Histogram::new(), )+
-                    has_sink: AtomicBool::new(false),
-                    sink: RwLock::new(None),
                     flight_enabled: AtomicBool::new(true),
                     flight: FlightRecorder::with_capacity(DEFAULT_FLIGHT_CAPACITY),
                     dumps: Mutex::new(Vec::new()),
@@ -839,11 +667,11 @@ macro_rules! metrics {
             }
 
             /// Zero every counter and every histogram (benchmarks
-            /// between phases). The sink stays attached and the flight
-            /// log is preserved.
+            /// between phases). Gauges are levels mirrored from their
+            /// owners' state, so they keep their values; the flight log
+            /// is preserved.
             pub fn reset(&self) {
                 $( self.$cname.reset(); )+
-                $( self.$gname.reset(); )+
                 $( self.$hname.reset(); )+
             }
         }
@@ -1101,33 +929,12 @@ impl std::fmt::Debug for Metrics {
 }
 
 impl Metrics {
-    /// Attach (or with `None`, detach) a trace sink. Only one sink is
-    /// active at a time; the previous one is returned to the caller via
-    /// drop.
-    pub fn set_sink(&self, sink: Option<Arc<dyn TraceSink>>) {
-        self.has_sink.store(sink.is_some(), Ordering::Relaxed);
-        *self.sink.write().unwrap_or_else(|e| e.into_inner()) = sink;
-    }
-
-    /// Emit a trace event: record it in the flight recorder (when
-    /// enabled) and forward it to the attached sink (when any). The
-    /// closure runs only when at least one consumer is active, so
-    /// callers can defer payload construction.
-    pub fn emit<'a>(&self, event: impl FnOnce() -> TraceEvent<'a>) {
-        let flight = self.flight_enabled.load(Ordering::Relaxed);
-        let sinking = self.has_sink.load(Ordering::Relaxed);
-        if !flight && !sinking {
-            return;
-        }
-        let event = event();
-        if flight {
-            self.flight.record(FlightEvent::from(&event));
-        }
-        if sinking {
-            let guard = self.sink.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(sink) = guard.as_ref() {
-                sink.on_event(&event);
-            }
+    /// Record an event in the flight recorder. The closure runs only
+    /// while the recorder is enabled, so callers defer payload
+    /// construction (and their [`SmallStr`] copies) to it.
+    pub fn emit(&self, event: impl FnOnce() -> FlightEvent) {
+        if self.flight_enabled.load(Ordering::Relaxed) {
+            self.flight.record(event());
         }
     }
 
@@ -1177,7 +984,7 @@ impl Metrics {
     }
 }
 
-/// Short label for a coupling mode, used in [`TraceEvent::TriggerFired`]
+/// Short label for a coupling mode, used in [`FlightEvent::TriggerFired`]
 /// so ode-core does not need its own string table.
 pub mod coupling_label {
     /// `immediate`.
@@ -1193,7 +1000,7 @@ pub mod coupling_label {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use std::sync::Arc;
 
     #[test]
     fn counters_start_at_zero_and_accumulate() {
@@ -1218,9 +1025,15 @@ mod tests {
         m.fsync_micros.record(90);
         m.post_micros.record(12);
         m.action_micros.record(3);
+        m.buf_resident_pages.set(4);
         assert_ne!(m.snapshot(), MetricsSnapshot::default());
         m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
+        // Gauges are levels, not totals: reset leaves them alone.
+        let kept = MetricsSnapshot {
+            buf_resident_pages: 4,
+            ..MetricsSnapshot::default()
+        };
+        assert_eq!(m.snapshot(), kept);
         let s = m.snapshot();
         assert_eq!(s.lock_wait_micros.count, 0);
         assert_eq!(s.lock_wait_micros.sum, 0);
@@ -1406,15 +1219,14 @@ mod tests {
     #[test]
     fn flight_records_carry_the_ambient_trace_identity() {
         let m = Metrics::new();
-        m.emit(|| TraceEvent::TxnCommit { txn: 1 });
-        let buf = Arc::new(ode_trace::TraceBuffer::new());
+        m.emit(|| FlightEvent::TxnCommit { txn: 1 });
         let trace = ode_trace::next_trace_id();
         {
-            let _g = ode_trace::install(Arc::clone(&buf), trace);
+            let _g = ode_trace::install(trace);
             let _root = ode_trace::span(ode_trace::SpanKind::Statement, "call");
-            m.emit(|| TraceEvent::TxnCommit { txn: 2 });
+            m.emit(|| FlightEvent::TxnCommit { txn: 2 });
         }
-        m.emit(|| TraceEvent::TxnCommit { txn: 3 });
+        m.emit(|| FlightEvent::TxnCommit { txn: 3 });
         let log = m.flight_log();
         assert_eq!(log.len(), 3);
         assert_eq!((log[0].trace_id, log[0].span_id), (0, 0), "untraced");
@@ -1423,37 +1235,13 @@ mod tests {
         assert_eq!((log[2].trace_id, log[2].span_id), (0, 0), "guard dropped");
     }
 
-    struct RecordingSink(Mutex<Vec<String>>);
-    impl TraceSink for RecordingSink {
-        fn on_event(&self, event: &TraceEvent<'_>) {
-            self.0
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(format!("{event:?}"));
-        }
-    }
-
     #[test]
-    fn sink_receives_events_and_detaches() {
+    fn disabled_recorder_never_runs_the_closure() {
         let m = Metrics::new();
-        // With both the recorder and the sink off, the closure must not
-        // run (the hot path defers payload construction entirely).
+        // With the recorder off the closure must not run (the hot path
+        // defers payload construction entirely).
         m.set_flight_enabled(false);
-        let sink = Arc::new(RecordingSink(Mutex::new(Vec::new())));
-        m.emit(|| panic!("no consumer attached"));
-        m.set_sink(Some(sink.clone()));
-        m.emit(|| TraceEvent::TxnCommit { txn: 42 });
-        m.emit(|| TraceEvent::TriggerFired {
-            trigger: "DenyCredit",
-            coupling: coupling_label::IMMEDIATE,
-        });
-        m.set_sink(None);
-        m.emit(|| panic!("sink detached"));
-        let seen = sink.0.lock().unwrap();
-        assert_eq!(seen.len(), 2);
-        assert!(seen[0].contains("42"));
-        assert!(seen[1].contains("DenyCredit"));
-        // The recorder stayed off throughout: nothing in the flight log.
+        m.emit(|| panic!("recorder disabled"));
         assert!(m.flight_log().is_empty());
     }
 
@@ -1461,22 +1249,22 @@ mod tests {
     fn flight_recorder_is_on_by_default_and_captures_causal_fields() {
         let m = Metrics::new();
         assert!(m.flight_enabled());
-        m.emit(|| TraceEvent::EventPosted {
+        m.emit(|| FlightEvent::EventPosted {
             event: 3,
             anchor: 77,
         });
-        m.emit(|| TraceEvent::FsmAdvanced {
-            trigger: "AutoRaiseLimit",
+        m.emit(|| FlightEvent::FsmAdvanced {
+            trigger: SmallStr::new("AutoRaiseLimit"),
             from_state: 1,
             to_state: 2,
             pseudo: Some(true),
         });
-        m.emit(|| TraceEvent::SystemTxnStarted {
+        m.emit(|| FlightEvent::SystemTxnStarted {
             txn: 9,
             parent: Some(4),
-            coupling: coupling_label::DEPENDENT,
+            coupling: SmallStr::new(coupling_label::DEPENDENT),
         });
-        m.emit(|| TraceEvent::CommitDurable { txn: 9, lsn: 1234 });
+        m.emit(|| FlightEvent::CommitDurable { txn: 9, lsn: 1234 });
         let log = m.flight_log();
         assert_eq!(log.len(), 4);
         // Sequence numbers are dense and timestamps monotone.
@@ -1519,21 +1307,9 @@ mod tests {
     }
 
     #[test]
-    fn small_str_truncates_at_char_boundary() {
-        assert_eq!(SmallStr::new("Buy").as_str(), "Buy");
-        let long = "a".repeat(40);
-        assert_eq!(SmallStr::new(&long).as_str().len(), SMALL_STR_CAP);
-        // 23 bytes falls mid-é (2-byte char) for this string: truncation
-        // must back off to the previous boundary, never split a char.
-        let multi = "ééééééééééééé"; // 13 chars, 26 bytes
-        let s = SmallStr::new(multi);
-        assert_eq!(s.as_str(), "ééééééééééé");
-    }
-
-    #[test]
     fn flight_dumps_are_preserved_and_bounded() {
         let m = Metrics::new();
-        m.emit(|| TraceEvent::LockWait {
+        m.emit(|| FlightEvent::LockWait {
             txn: 7,
             exclusive: true,
         });

@@ -230,7 +230,7 @@ impl BTree {
             storage.metrics().btree_splits.inc();
             storage
                 .metrics()
-                .emit(|| ode_obs::TraceEvent::BtreeSplit { root: true });
+                .emit(|| ode_obs::FlightEvent::BtreeSplit { root: true });
         }
         if replaced.is_none() {
             holder.len += 1;
@@ -286,7 +286,7 @@ impl BTree {
                 storage.metrics().btree_splits.inc();
                 storage
                     .metrics()
-                    .emit(|| ode_obs::TraceEvent::BtreeSplit { root: false });
+                    .emit(|| ode_obs::FlightEvent::BtreeSplit { root: false });
                 Ok(InsertOutcome::Split { sep, right })
             }
             Node::Internal { keys, children } => {
@@ -322,7 +322,7 @@ impl BTree {
                         storage.metrics().btree_splits.inc();
                         storage
                             .metrics()
-                            .emit(|| ode_obs::TraceEvent::BtreeSplit { root: false });
+                            .emit(|| ode_obs::FlightEvent::BtreeSplit { root: false });
                         Ok(InsertOutcome::Split {
                             sep: up,
                             right: right_oid,

@@ -55,7 +55,7 @@ use crate::error::Result;
 use crate::oid::PageId;
 use crate::page::Page;
 use crate::wal::Wal;
-use ode_obs::{Metrics, TraceEvent};
+use ode_obs::{FlightEvent, Metrics};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -318,7 +318,7 @@ impl BufferPool {
         inner.clock.swap_remove(idx);
         self.note_resident(-1);
         self.metrics
-            .emit(|| TraceEvent::BufferEviction { page: victim });
+            .emit(|| FlightEvent::BufferEviction { page: victim });
         Ok(())
     }
 

@@ -47,7 +47,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::txn::TxnId;
-use ode_obs::{Metrics, TraceEvent};
+use ode_obs::{FlightEvent, Metrics};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -269,7 +269,7 @@ impl LockManager {
         };
         let idx = self.stripe_of(&key);
         self.note_stripe(txn, idx);
-        {
+        let wait_span = {
             let mut tables = self.lock_stripe(idx);
             if let Some(&held) = tables.locks.get(&key).and_then(|s| s.holders.get(&txn)) {
                 if held >= mode {
@@ -294,16 +294,19 @@ impl LockManager {
                 LockMode::Shared => self.metrics.lock_shared_waits.inc(),
                 LockMode::Exclusive => self.metrics.lock_exclusive_waits.inc(),
             }
-            self.metrics.emit(|| TraceEvent::LockWait {
+            // Open the wait span first so the LockWait record is stamped
+            // with it.
+            let mut wait_span = ode_trace::span(ode_trace::SpanKind::LockWait, "");
+            wait_span.payload(txn.0, (mode == LockMode::Exclusive) as u64);
+            self.metrics.emit(|| FlightEvent::LockWait {
                 txn: txn.0,
                 exclusive: mode == LockMode::Exclusive,
             });
             tables.waiting.insert(txn, (key, mode));
-        }
+            wait_span
+        };
 
         let started = Instant::now();
-        let mut wait_span = ode_trace::span(ode_trace::SpanKind::LockWait, "");
-        wait_span.payload(txn.0, (mode == LockMode::Exclusive) as u64);
         let result = loop {
             // Consistent multi-stripe pass: grant if possible, otherwise
             // look for a waits-for cycle through us.
@@ -315,7 +318,7 @@ impl LockManager {
                 Sweep::Victim => {
                     self.metrics.lock_deadlock_victims.inc();
                     self.metrics
-                        .emit(|| TraceEvent::DeadlockVictim { txn: txn.0 });
+                        .emit(|| FlightEvent::DeadlockVictim { txn: txn.0 });
                     self.metrics.dump_flight(format!(
                         "deadlock victim txn={txn:?} key={key:?} mode={mode:?}"
                     ));

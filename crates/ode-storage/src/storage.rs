@@ -52,7 +52,7 @@ use crate::txn::{TxnId, TxnManager, TxnState, UndoOp};
 use crate::version::{SnapshotLookup, VersionStats, VersionStore};
 use crate::wal::{LogRecord, Wal};
 use bytes::{BufMut, BytesMut};
-use ode_obs::{Metrics, TraceEvent};
+use ode_obs::{FlightEvent, Metrics};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
@@ -1139,7 +1139,7 @@ impl Storage {
             self.versions.release_snapshot(snap);
             self.txns.finish(txn, TxnState::Committed)?;
             self.metrics.txn_commits.inc();
-            self.metrics.emit(|| TraceEvent::TxnCommit { txn: txn.0 });
+            self.metrics.emit(|| FlightEvent::TxnCommit { txn: txn.0 });
             return Ok(CommitTicket {
                 txn,
                 lsn: None,
@@ -1234,7 +1234,7 @@ impl Storage {
         self.txns.finish(txn, TxnState::Committed)?;
         self.locks.unlock_all(txn);
         self.metrics.txn_commits.inc();
-        self.metrics.emit(|| TraceEvent::TxnCommit { txn: txn.0 });
+        self.metrics.emit(|| FlightEvent::TxnCommit { txn: txn.0 });
         Ok(CommitTicket {
             txn,
             lsn,
@@ -1254,11 +1254,11 @@ impl Storage {
                 let mut span = ode_trace::span(ode_trace::SpanKind::Commit, "");
                 span.payload(ticket.txn.0, lsn);
                 wal.commit_wait(lsn)?;
-                drop(span);
-                self.metrics.emit(|| TraceEvent::CommitDurable {
+                self.metrics.emit(|| FlightEvent::CommitDurable {
                     txn: ticket.txn.0,
                     lsn,
                 });
+                drop(span);
             } else if let Some(barrier) = ticket.read_barrier {
                 wal.commit_wait(barrier)?;
             }
@@ -1326,7 +1326,7 @@ impl Storage {
         self.txns.finish(txn, TxnState::Aborted)?;
         self.locks.unlock_all(txn);
         self.metrics.txn_aborts.inc();
-        self.metrics.emit(|| TraceEvent::TxnAbort { txn: txn.0 });
+        self.metrics.emit(|| FlightEvent::TxnAbort { txn: txn.0 });
         match first_err {
             None => Ok(()),
             Some(e) => Err(e),
@@ -3179,6 +3179,26 @@ mod tests {
             Err(StorageError::NoSuchRoot(_))
         ));
         s.commit(r2).unwrap();
+    }
+
+    #[test]
+    fn metrics_reset_keeps_the_pool_level_gauges() {
+        let dir = TempDir::new("gauge-reset");
+        let s = disk_storage(&dir);
+        let t = s.begin().unwrap();
+        let c = s.create_cluster(t).unwrap();
+        s.allocate(t, c, b"data").unwrap();
+        s.commit(t).unwrap();
+        let before = s.metrics().snapshot();
+        assert!(before.buf_resident_pages > 0);
+        assert!(before.txn_commits > 0);
+        s.metrics().reset();
+        let after = s.metrics().snapshot();
+        // Counters restart; gauges still mirror the pool's own levels.
+        assert_eq!(after.txn_commits, 0);
+        assert_eq!(after.buf_resident_pages, before.buf_resident_pages);
+        assert_eq!(after.buf_dirty_pages, before.buf_dirty_pages);
+        assert_eq!(after.dpt_size, before.dpt_size);
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::error::{Result, StorageError};
 use crate::fault::{FaultFile, FaultInjector};
 use crate::oid::{ClusterId, PageId};
 use bytes::{BufMut, BytesMut};
-use ode_obs::{Metrics, TraceEvent};
+use ode_obs::{FlightEvent, Metrics};
 use parking_lot::{Condvar, Mutex};
 use std::io::{Read, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -558,7 +558,7 @@ impl Wal {
                 .fsync_micros
                 .record(t0.elapsed().as_micros() as u64);
             self.metrics.wal_fsyncs.inc();
-            self.metrics.emit(|| TraceEvent::WalFsync {
+            self.metrics.emit(|| FlightEvent::WalFsync {
                 bytes_flushed: batch.len() as u64,
             });
         }

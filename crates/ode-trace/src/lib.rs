@@ -11,17 +11,20 @@
 //!
 //! ## Design
 //!
-//! * **Per-session [`TraceBuffer`]**: a bounded seqlock ring of `Copy`
-//!   [`SpanRecord`]s, the same lock-free discipline as `ode-obs`'s
-//!   flight recorder. Each session owns its ring, so concurrent
-//!   sessions never contend on a shared structure.
-//! * **Thread-local ambient context**: a session *installs* its buffer
-//!   and a trace id at statement start ([`install`]); every layer below
-//!   (storage locks, event posting, coupling-mode commits) opens spans
-//!   with [`span`] without any plumbing through call signatures. When
-//!   nothing is installed a span guard is a single thread-local flag
-//!   read and two dead stores — the tracing-off overhead budget is the
-//!   PR 4 flight-recorder bar (≤5% on the post hot path).
+//! * **Per-statement span list**: the thread-local context owns a
+//!   bounded `VecDeque` of completed `Copy` [`SpanRecord`]s and the
+//!   `Instant` they are timed from. [`install`] starts it empty and
+//!   [`TraceGuard::finish`] hands it back sorted. Spans are written only
+//!   on the installing thread — detached firings run on the committing
+//!   thread (DESIGN.md, "Why dependent/!dependent firings nest for
+//!   free") — so the list needs no synchronisation.
+//! * **Thread-local ambient context**: a session *installs* a trace id
+//!   at statement start ([`install`]); every layer below (storage locks,
+//!   event posting, coupling-mode commits) opens spans with [`span`]
+//!   without any plumbing through call signatures. When nothing is
+//!   installed a span guard is a single thread-local flag read and two
+//!   dead stores — the tracing-off overhead budget is the flight
+//!   recorder's (≤5% on the post hot path).
 //! * **Parent linkage by nesting**: opening a span makes it the current
 //!   parent; dropping it restores the previous parent. Coupling-mode
 //!   system transactions run on the posting thread between
@@ -29,14 +32,15 @@
 //!   statement span with no explicit propagation (see DESIGN.md).
 //!
 //! This crate is std-only and dependency-free: `ode-obs` links it to
-//! stamp the (trace_id, parent_span, span_id) triple onto flight
-//! records, so it must sit at the very bottom of the workspace graph.
+//! stamp the (trace_id, span_id) pair onto flight records and to share
+//! [`SmallStr`], so it must sit at the very bottom of the workspace
+//! graph.
 
 #![warn(missing_docs)]
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
@@ -88,29 +92,29 @@ impl SpanKind {
     }
 }
 
-/// Maximum bytes of a span name stored inline (mirrors `ode-obs`'s
-/// `SmallStr`, which cannot be imported from below it in the graph).
-pub const SPAN_NAME_CAP: usize = 23;
+/// Maximum bytes of a name stored inline in a [`SmallStr`].
+pub const SMALL_STR_CAP: usize = 23;
 
-/// A fixed-capacity inline string so [`SpanRecord`]s stay `Copy` and
-/// recording never allocates. Longer names truncate at a char boundary.
+/// A fixed-capacity inline string, so [`SpanRecord`]s and `ode-obs`'s
+/// flight records stay `Copy` and recording never allocates. Longer
+/// names are truncated at a char boundary.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SpanName {
+pub struct SmallStr {
     len: u8,
-    bytes: [u8; SPAN_NAME_CAP],
+    bytes: [u8; SMALL_STR_CAP],
 }
 
-impl SpanName {
-    /// Store `s`, truncating to [`SPAN_NAME_CAP`] bytes at a char
+impl SmallStr {
+    /// Store `s`, truncating to [`SMALL_STR_CAP`] bytes at a char
     /// boundary.
-    pub fn new(s: &str) -> SpanName {
-        let mut n = s.len().min(SPAN_NAME_CAP);
+    pub fn new(s: &str) -> SmallStr {
+        let mut n = s.len().min(SMALL_STR_CAP);
         while n > 0 && !s.is_char_boundary(n) {
             n -= 1;
         }
-        let mut bytes = [0u8; SPAN_NAME_CAP];
+        let mut bytes = [0u8; SMALL_STR_CAP];
         bytes[..n].copy_from_slice(&s.as_bytes()[..n]);
-        SpanName {
+        SmallStr {
             len: n as u8,
             bytes,
         }
@@ -118,25 +122,25 @@ impl SpanName {
 
     /// The stored string.
     pub fn as_str(&self) -> &str {
-        let n = (self.len as usize).min(SPAN_NAME_CAP);
+        let n = (self.len as usize).min(SMALL_STR_CAP);
         std::str::from_utf8(&self.bytes[..n]).unwrap_or("")
     }
 }
 
-impl std::fmt::Debug for SpanName {
+impl std::fmt::Debug for SmallStr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.as_str().fmt(f)
     }
 }
 
-impl std::fmt::Display for SpanName {
+impl std::fmt::Display for SmallStr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
 }
 
 /// One completed span: identity triple, kind, name, kind-specific
-/// payload, and timing relative to the owning buffer's origin.
+/// payload, and timing relative to the trace's origin.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanRecord {
     /// The statement this span belongs to (session-unique, nonzero).
@@ -148,174 +152,26 @@ pub struct SpanRecord {
     /// What was measured.
     pub kind: SpanKind,
     /// Kind-specific name (verb, event, trigger, coupling label).
-    pub name: SpanName,
+    pub name: SmallStr,
     /// First kind-specific payload (see [`SpanKind`]).
     pub a: u64,
     /// Second kind-specific payload (see [`SpanKind`]).
     pub b: u64,
-    /// Span open time, nanoseconds since the buffer's origin.
+    /// Span open time, nanoseconds since the trace was installed.
     pub start_nanos: u64,
     /// Span duration in nanoseconds.
     pub dur_nanos: u64,
 }
 
-const SPAN_INIT: SpanRecord = SpanRecord {
-    trace_id: 0,
-    span_id: 0,
-    parent: 0,
-    kind: SpanKind::Statement,
-    name: SpanName {
-        len: 0,
-        bytes: [0; SPAN_NAME_CAP],
-    },
-    a: 0,
-    b: 0,
-    start_nanos: 0,
-    dur_nanos: 0,
-};
-
-// ---------------------------------------------------------------------
-// The per-session span ring
-// ---------------------------------------------------------------------
-
-/// Default per-session ring capacity in spans. A Figure-1 cascade is
-/// ~10 spans; 512 holds even a statement that fires dozens of triggers
-/// through multi-step FSMs without wrapping.
+/// Spans kept per trace. A Figure-1 cascade is ~10 spans; 512 holds
+/// even a statement that fires dozens of triggers through multi-step
+/// FSMs. Past it the oldest completed spans are dropped; the statement
+/// span completes last, so it is always kept.
 pub const DEFAULT_TRACE_CAPACITY: usize = 512;
 
-struct Slot {
-    /// Seqlock version: `2*seq + 1` while the record for `seq` is being
-    /// written, `2*seq + 2` once complete; the initial 0 matches no
-    /// completed version, so uninitialised slots are never surfaced.
-    version: AtomicU64,
-    data: std::cell::UnsafeCell<SpanRecord>,
-}
-
-// SAFETY: concurrent access to `data` is mediated by the per-slot
-// seqlock version — readers discard any record whose version is not the
-// exact completed value both before and after the volatile copy.
-unsafe impl Sync for Slot {}
-
-/// A bounded, lock-free ring of completed [`SpanRecord`]s — one per
-/// session, so recording never contends across sessions. Same seqlock
-/// discipline as the `ode-obs` flight recorder: writers claim a slot
-/// with one `fetch_add` and publish odd-while-writing / even-complete
-/// versions; [`TraceBuffer::snapshot`] skips torn slots.
-pub struct TraceBuffer {
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-    mask: u64,
-    origin: Instant,
-}
-
-impl TraceBuffer {
-    /// A buffer holding the last `capacity` spans (rounded up to a power
-    /// of two, minimum 2).
-    pub fn with_capacity(capacity: usize) -> TraceBuffer {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Vec<Slot> = (0..cap)
-            .map(|_| Slot {
-                version: AtomicU64::new(0),
-                data: std::cell::UnsafeCell::new(SPAN_INIT),
-            })
-            .collect();
-        TraceBuffer {
-            head: AtomicU64::new(0),
-            slots: slots.into_boxed_slice(),
-            mask: (cap - 1) as u64,
-            origin: Instant::now(),
-        }
-    }
-
-    /// A buffer with [`DEFAULT_TRACE_CAPACITY`] slots.
-    pub fn new() -> TraceBuffer {
-        TraceBuffer::with_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// Ring capacity in spans.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Nanoseconds since this buffer was created (monotonic clock) —
-    /// the time base of every [`SpanRecord`] it holds.
-    pub fn now_nanos(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
-
-    /// Append one completed span. Lock-free: one `fetch_add` to claim a
-    /// slot, then a seqlock-guarded plain write.
-    pub fn record(&self, rec: SpanRecord) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq & self.mask) as usize];
-        slot.version.store(2 * seq + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        // SAFETY: the slot is marked write-in-progress (odd version);
-        // readers validate the version on both sides of their copy and
-        // discard mismatches, so a torn record is never observed.
-        unsafe {
-            *slot.data.get() = rec;
-        }
-        slot.version.store(2 * seq + 2, Ordering::Release);
-    }
-
-    /// Copy out the surviving window in completion order (a child span
-    /// completes before its parent). Slots a lapping writer was mid-way
-    /// through are skipped rather than surfaced torn.
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for seq in start..head {
-            let slot = &self.slots[(seq & self.mask) as usize];
-            let complete = 2 * seq + 2;
-            if slot.version.load(Ordering::Acquire) != complete {
-                continue;
-            }
-            // SAFETY: volatile copy plus version re-check rejects any
-            // read that raced a writer.
-            let rec = unsafe { std::ptr::read_volatile(slot.data.get()) };
-            fence(Ordering::Acquire);
-            if slot.version.load(Ordering::Relaxed) != complete {
-                continue;
-            }
-            out.push(rec);
-        }
-        out
-    }
-
-    /// The surviving spans of one trace, sorted by start time (ties
-    /// broken by span id, which increases in open order).
-    pub fn trace(&self, trace_id: u64) -> Vec<SpanRecord> {
-        let mut spans: Vec<SpanRecord> = self
-            .snapshot()
-            .into_iter()
-            .filter(|s| s.trace_id == trace_id)
-            .collect();
-        spans.sort_by_key(|s| (s.start_nanos, s.span_id));
-        spans
-    }
-}
-
-impl Default for TraceBuffer {
-    fn default() -> TraceBuffer {
-        TraceBuffer::new()
-    }
-}
-
-impl std::fmt::Debug for TraceBuffer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceBuffer")
-            .field("capacity", &self.capacity())
-            .field("head", &self.head.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
 /// Allocate a process-unique, nonzero trace id. Sessions call this once
-/// per traced statement; uniqueness across sessions keeps flight-record
-/// stamps unambiguous even when rings are shared with a dump reader.
+/// per traced statement; uniqueness across sessions keeps the stamps on
+/// the engine-global flight log unambiguous.
 pub fn next_trace_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
@@ -326,11 +182,20 @@ pub fn next_trace_id() -> u64 {
 // ---------------------------------------------------------------------
 
 struct Ctx {
-    buf: Arc<TraceBuffer>,
     trace_id: u64,
     /// Innermost open span (0 = at the root).
     parent: u64,
     next_span: u64,
+    /// The time base of every span in `spans`.
+    origin: Instant,
+    /// Completed spans, oldest first, at most [`DEFAULT_TRACE_CAPACITY`].
+    spans: VecDeque<SpanRecord>,
+}
+
+impl Ctx {
+    fn now_nanos(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
 }
 
 thread_local! {
@@ -341,30 +206,43 @@ thread_local! {
     static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
 }
 
-/// Uninstalls the ambient trace context on drop (end of statement).
+/// Uninstalls the ambient trace context: [`TraceGuard::finish`] returns
+/// its spans, a plain drop (an unwound statement) discards them.
 #[must_use = "dropping the guard ends the trace"]
 pub struct TraceGuard {
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
-/// Install `buf` as this thread's ambient trace context under
+/// Install an empty ambient trace context on this thread under
 /// `trace_id`. Every [`span`] opened on this thread until the returned
-/// guard drops records into `buf` as part of that trace. Installing
-/// over an existing context replaces it (the displaced trace simply
-/// stops recording — sessions are single-threaded, so this only happens
-/// if a caller leaks a guard).
-pub fn install(buf: Arc<TraceBuffer>, trace_id: u64) -> TraceGuard {
+/// guard ends is recorded as part of that trace. Installing over an
+/// existing context replaces it (the displaced trace simply stops
+/// recording — sessions are single-threaded, so this only happens if a
+/// caller leaks a guard).
+pub fn install(trace_id: u64) -> TraceGuard {
     CTX.with(|c| {
         *c.borrow_mut() = Some(Ctx {
-            buf,
             trace_id,
             parent: 0,
             next_span: 1,
+            origin: Instant::now(),
+            spans: VecDeque::new(),
         });
     });
     ACTIVE.with(|a| a.set(true));
     TraceGuard {
         _not_send: std::marker::PhantomData,
+    }
+}
+
+impl TraceGuard {
+    /// End the trace and return its surviving spans sorted by start time
+    /// (ties broken by span id, which increases in open order).
+    pub fn finish(self) -> Vec<SpanRecord> {
+        let spans = CTX.with(|c| c.borrow_mut().take().map(|ctx| ctx.spans));
+        let mut spans = Vec::from(spans.unwrap_or_default());
+        spans.sort_by_key(|s| (s.start_nanos, s.span_id));
+        spans
     }
 }
 
@@ -379,7 +257,7 @@ impl Drop for TraceGuard {
 /// innermost_open_span)`, or `(0, 0)` when no context is installed.
 /// `ode-obs` stamps this pair (plus its own record identity) onto every
 /// flight record so the engine-global flight log can be joined against
-/// per-session span trees.
+/// statement span trees.
 #[inline]
 pub fn current_ids() -> (u64, u64) {
     if !ACTIVE.with(|a| a.get()) {
@@ -393,22 +271,12 @@ pub fn current_ids() -> (u64, u64) {
     })
 }
 
-struct OpenSpan {
-    trace_id: u64,
-    span_id: u64,
-    parent: u64,
-    kind: SpanKind,
-    name: SpanName,
-    a: u64,
-    b: u64,
-    start_nanos: u64,
-}
-
 /// An RAII span guard: records a [`SpanRecord`] with its measured
 /// duration when dropped. Inert (a no-op with no allocation) when no
 /// ambient context is installed on this thread.
 pub struct Span {
-    open: Option<OpenSpan>,
+    /// The record being built; `dur_nanos` is filled in on drop.
+    open: Option<SpanRecord>,
 }
 
 /// Open a span of `kind` under the current trace, making it the parent
@@ -431,15 +299,16 @@ fn span_slow(kind: SpanKind, name: &str) -> Span {
         ctx.next_span += 1;
         let parent = ctx.parent;
         ctx.parent = span_id;
-        Some(OpenSpan {
+        Some(SpanRecord {
             trace_id: ctx.trace_id,
             span_id,
             parent,
             kind,
-            name: SpanName::new(name),
+            name: SmallStr::new(name),
             a: 0,
             b: 0,
-            start_nanos: ctx.buf.now_nanos(),
+            start_nanos: ctx.now_nanos(),
+            dur_nanos: 0,
         })
     });
     Span { open }
@@ -467,14 +336,14 @@ impl Span {
     /// (e.g. requires resolving an interned id to a string).
     pub fn rename(&mut self, name: &str) {
         if let Some(open) = &mut self.open {
-            open.name = SpanName::new(name);
+            open.name = SmallStr::new(name);
         }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(open) = self.open.take() else {
+        let Some(mut rec) = self.open.take() else {
             return;
         };
         CTX.with(|c| {
@@ -482,22 +351,15 @@ impl Drop for Span {
             let Some(ctx) = guard.as_mut() else {
                 return; // context torn down before the span closed
             };
-            if ctx.trace_id != open.trace_id {
+            if ctx.trace_id != rec.trace_id {
                 return; // a new trace was installed over this span
             }
-            ctx.parent = open.parent;
-            let now = ctx.buf.now_nanos();
-            ctx.buf.record(SpanRecord {
-                trace_id: open.trace_id,
-                span_id: open.span_id,
-                parent: open.parent,
-                kind: open.kind,
-                name: open.name,
-                a: open.a,
-                b: open.b,
-                start_nanos: open.start_nanos,
-                dur_nanos: now.saturating_sub(open.start_nanos),
-            });
+            ctx.parent = rec.parent;
+            rec.dur_nanos = ctx.now_nanos().saturating_sub(rec.start_nanos);
+            if ctx.spans.len() == DEFAULT_TRACE_CAPACITY {
+                ctx.spans.pop_front();
+            }
+            ctx.spans.push_back(rec);
         });
     }
 }
@@ -506,7 +368,7 @@ impl Drop for Span {
 // Span-tree rendering
 // ---------------------------------------------------------------------
 
-/// Render a trace's spans (as returned by [`TraceBuffer::trace`]) as an
+/// Render a trace's spans (as returned by [`TraceGuard::finish`]) as an
 /// indented tree, one line per span: kind label, name, kind-specific
 /// payload fields, and duration in microseconds. Returns an explanatory
 /// line when `spans` is empty.
@@ -573,8 +435,8 @@ pub fn render_tree(trace_id: u64, spans: &[SpanRecord]) -> String {
             }
         }
     }
-    // Spans whose parent was overwritten in the ring never get visited;
-    // say so instead of silently dropping them.
+    // Spans whose parent was dropped past the capacity never get
+    // visited; say so instead of silently dropping them.
     if emitted < spans.len() {
         let _ = writeln!(
             out,
@@ -591,15 +453,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn span_names_truncate_at_char_boundaries() {
-        let s = SpanName::new("abc");
-        assert_eq!(s.as_str(), "abc");
-        let long = "x".repeat(40);
-        assert_eq!(SpanName::new(&long).as_str().len(), SPAN_NAME_CAP);
-        let multi = "ééééééééééééé"; // 2 bytes each; 23 is mid-char
-        let t = SpanName::new(multi);
-        assert!(t.as_str().len() <= SPAN_NAME_CAP);
-        assert!(t.as_str().chars().all(|c| c == 'é'));
+    fn small_str_truncates_at_char_boundary() {
+        assert_eq!(SmallStr::new("Buy").as_str(), "Buy");
+        let long = "a".repeat(40);
+        assert_eq!(SmallStr::new(&long).as_str().len(), SMALL_STR_CAP);
+        // 23 bytes falls mid-é (2-byte char) for this string: truncation
+        // must back off to the previous boundary, never split a char.
+        let multi = "ééééééééééééé"; // 13 chars, 26 bytes
+        let s = SmallStr::new(multi);
+        assert_eq!(s.as_str(), "ééééééééééé");
     }
 
     #[test]
@@ -613,9 +475,8 @@ mod tests {
 
     #[test]
     fn nesting_builds_a_parent_chain_and_restores_on_drop() {
-        let buf = Arc::new(TraceBuffer::new());
         let id = next_trace_id();
-        let guard = install(Arc::clone(&buf), id);
+        let guard = install(id);
         let root = span(SpanKind::Statement, "call");
         assert!(root.is_recording());
         assert_eq!(current_ids(), (id, 1));
@@ -631,10 +492,9 @@ mod tests {
         }
         assert_eq!(current_ids(), (id, 1));
         drop(root);
-        drop(guard);
+        let spans = guard.finish();
         assert_eq!(current_ids(), (0, 0));
 
-        let spans = buf.trace(id);
         assert_eq!(spans.len(), 3);
         let root = &spans[0];
         assert_eq!(
@@ -652,88 +512,50 @@ mod tests {
     }
 
     #[test]
-    fn traces_are_isolated_by_id_in_one_buffer() {
-        let buf = Arc::new(TraceBuffer::new());
+    fn each_install_starts_empty_and_an_unfinished_guard_discards() {
         let (a, b) = (next_trace_id(), next_trace_id());
         {
-            let _g = install(Arc::clone(&buf), a);
-            let _s = span(SpanKind::Statement, "new");
+            let _g = install(a);
+            let _s = span(SpanKind::Statement, "abandoned");
         }
+        assert_eq!(current_ids(), (0, 0), "a dropped guard uninstalls");
+        let g = install(b);
         {
-            let _g = install(Arc::clone(&buf), b);
             let _s = span(SpanKind::Statement, "call");
             let _p = span(SpanKind::Post, "Buy");
         }
-        assert_eq!(buf.trace(a).len(), 1);
-        assert_eq!(buf.trace(b).len(), 2);
-        assert_eq!(buf.trace(a)[0].name.as_str(), "new");
+        let spans = g.finish();
+        assert_eq!(spans.len(), 2, "nothing carried over: {spans:?}");
+        assert!(spans.iter().all(|s| s.trace_id == b));
+        assert_eq!(spans[0].name.as_str(), "call");
     }
 
     #[test]
     fn ring_wrap_keeps_only_the_newest_spans() {
-        let buf = Arc::new(TraceBuffer::with_capacity(4));
-        let id = next_trace_id();
-        let _g = install(Arc::clone(&buf), id);
-        for i in 0..10u64 {
+        let g = install(next_trace_id());
+        let root = span(SpanKind::Statement, "call");
+        for i in 0..(DEFAULT_TRACE_CAPACITY as u64 + 8) {
             let mut s = span(SpanKind::Post, "E");
             s.payload(i, 0);
         }
-        let spans = buf.trace(id);
-        assert_eq!(spans.len(), 4);
+        drop(root);
+        let spans = g.finish();
+        assert_eq!(spans.len(), DEFAULT_TRACE_CAPACITY);
+        // The statement span completed last, so it survives the cap; the
+        // nine oldest posts were dropped to make room.
+        assert_eq!(spans[0].kind, SpanKind::Statement);
+        let posts: Vec<u64> = spans[1..].iter().map(|s| s.a).collect();
         assert_eq!(
-            spans.iter().map(|s| s.a).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9]
+            posts,
+            (9..DEFAULT_TRACE_CAPACITY as u64 + 8).collect::<Vec<_>>()
         );
     }
 
     #[test]
-    fn concurrent_writers_never_surface_torn_records() {
-        // Hammer one buffer from several threads while snapshotting; the
-        // seqlock must only ever surface internally-consistent records
-        // (payload pair a == !b by construction).
-        let buf = Arc::new(TraceBuffer::with_capacity(8));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writers: Vec<_> = (0..3)
-            .map(|t| {
-                let buf = Arc::clone(&buf);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut i = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let v = (t as u64) << 32 | i;
-                        buf.record(SpanRecord {
-                            trace_id: 1,
-                            span_id: v,
-                            parent: 0,
-                            kind: SpanKind::Post,
-                            name: SpanName::new("w"),
-                            a: v,
-                            b: !v,
-                            start_nanos: 0,
-                            dur_nanos: 0,
-                        });
-                        i += 1;
-                    }
-                })
-            })
-            .collect();
-        for _ in 0..200 {
-            for rec in buf.snapshot() {
-                assert_eq!(rec.b, !rec.a, "torn record surfaced");
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        for w in writers {
-            w.join().unwrap();
-        }
-    }
-
-    #[test]
     fn render_tree_shows_the_cascade_with_payloads() {
-        let buf = Arc::new(TraceBuffer::new());
         let id = next_trace_id();
+        let g = install(id);
         {
-            let _g = install(Arc::clone(&buf), id);
             let _root = span(SpanKind::Statement, "call");
             {
                 let mut post = span(SpanKind::Post, "PayBill");
@@ -744,7 +566,7 @@ mod tests {
             let mut commit = span(SpanKind::Commit, "");
             commit.payload(7, 99);
         }
-        let tree = render_tree(id, &buf.trace(id));
+        let tree = render_tree(id, &g.finish());
         assert!(tree.contains("statement call"), "{tree}");
         assert!(tree.contains("  post PayBill anchor=42 txn=7"), "{tree}");
         assert!(

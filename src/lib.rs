@@ -90,7 +90,7 @@ pub mod prelude {
         InterClassBuilder, MonitoredClassBuilder, MonitoredSpace, OdeClass, OdeError, OdeObject,
         Perpetual, PersistentPtr, StorageOptions, TriggerCtx, TriggerId, TxnId,
     };
-    pub use ode_obs::{Metrics, MetricsSnapshot, TraceEvent, TraceSink};
+    pub use ode_obs::{Metrics, MetricsSnapshot};
 }
 
 pub use prelude::*;

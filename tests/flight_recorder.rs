@@ -414,7 +414,7 @@ fn concurrent_snapshots_are_never_torn() {
 #[test]
 fn emit_and_dump_share_one_ring() {
     let m = Metrics::new();
-    m.emit(|| TraceEvent::TxnCommit { txn: 77 });
+    m.emit(|| FlightEvent::TxnCommit { txn: 77 });
     m.dump_flight("test anomaly");
     let dumps = m.flight_dumps();
     assert_eq!(dumps.len(), 1);

@@ -3,12 +3,12 @@
 //! reports non-zero counters from every layer — lock manager (waits),
 //! event machinery (FSM transitions, mask evaluations), and trigger
 //! run-time (firings by coupling mode) — plus the Prometheus rendering
-//! and the trace-sink hook.
+//! and the flight log.
 
 use bytes::BytesMut;
 use ode::core::ClassBuilder;
 use ode::prelude::*;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -367,25 +367,19 @@ fn prometheus_exposition_is_conformant() {
     }
 }
 
-struct RecordingSink(Mutex<Vec<String>>);
-impl TraceSink for RecordingSink {
-    fn on_event(&self, event: &TraceEvent<'_>) {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(format!("{event:?}"));
-    }
-}
-
 #[test]
-fn trace_sink_observes_the_replay() {
+fn flight_log_observes_the_replay() {
     let (db, card) = cred_card_world();
-    let sink = Arc::new(RecordingSink(Mutex::new(Vec::new())));
-    db.set_trace_sink(Some(sink.clone()));
+    let head = db.flight_log().last().map_or(0, |r| r.seq + 1);
     billing_cycle(&db, card);
-    db.set_trace_sink(None);
 
-    let seen = sink.0.lock().unwrap().join("\n");
+    let seen = db
+        .flight_log()
+        .iter()
+        .filter(|r| r.seq >= head)
+        .map(|r| format!("{:?}", r.event))
+        .collect::<Vec<_>>()
+        .join("\n");
     assert!(seen.contains("EventPosted"), "postings traced: {seen}");
     assert!(
         seen.contains("TriggerFired") && seen.contains("AutoRaiseLimit"),
@@ -396,9 +390,4 @@ fn trace_sink_observes_the_replay() {
         "couplings labelled: {seen}"
     );
     assert!(seen.contains("TxnCommit"), "commits traced: {seen}");
-
-    // Detached: events after this point are not delivered.
-    let n = sink.0.lock().unwrap().len();
-    billing_cycle(&db, card);
-    assert_eq!(sink.0.lock().unwrap().len(), n);
 }
