@@ -2,13 +2,14 @@
 //! object ("storing the current state of the trigger in the object itself
 //! would have violated our design goal of maintaining the same object
 //! layout … and led to a variety of other problems"), at the price of a
-//! hash-index lookup per posting.
+//! separate state-record read per posting.
 //!
 //! Two measurements:
-//! * **speed**: one event posting under (a) the real design — index lookup
-//!   plus separate trigger-state record update — and (b) a simulation of
-//!   the rejected design, where the FSM state is a field of the object
-//!   itself (no index, but every object of the class carries the field);
+//! * **speed**: one event posting under (a) the real design — the anchor
+//!   header lists the state record's Oid, and the separate record is
+//!   read and updated — and (b) a simulation of the rejected design,
+//!   where the FSM state is a field of the object itself (every object
+//!   of the class carries the field);
 //! * **layout stability** (printed): under (a), activating a trigger
 //!   leaves the object's stored bytes untouched; under (b) it cannot.
 
@@ -59,7 +60,7 @@ impl OdeObject for CardWithEmbeddedState {
 fn bench_state_placement(c: &mut Criterion) {
     let mut group = c.benchmark_group("state_placement");
 
-    // (a) The real design: hash index + separate TriggerState record.
+    // (a) The real design: header ref + separate TriggerState record.
     {
         let db = Database::volatile();
         register_cred_card(&db, CardSetup::WithTrigger);

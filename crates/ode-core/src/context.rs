@@ -32,8 +32,8 @@ pub struct TriggerStats {
     /// Detached (dependent/!dependent) actions that failed; their system
     /// transaction was aborted.
     pub detached_failures: u64,
-    /// Index lookups skipped thanks to the per-object has-triggers flag
-    /// (§5.4.5 footnote 3).
+    /// Posts that stopped at the per-object has-triggers flag: no trigger
+    /// lookup (§5.4.5 footnote 3).
     pub index_skips: u64,
 }
 

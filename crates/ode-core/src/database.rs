@@ -2,8 +2,9 @@
 //!
 //! A [`Database`] combines a storage engine (EOS-like disk or Dali-like
 //! main-memory, §5.6) with the trigger run-time: a persistent schema
-//! (class name → class id + cluster), the persistent trigger index of
-//! §5.1.3, and per-transaction trigger lists (§5.5).
+//! (class name → class id + cluster), the trigger-state cluster whose
+//! records each anchor's header lists (§5.1.3's object → triggers map, see
+//! [`crate::object`]), and per-transaction trigger lists (§5.5).
 //!
 //! Classes are *registered* each session ([`Database::register_class`])
 //! exactly as O++ programs carry complete class definitions and recompile
@@ -27,7 +28,6 @@ use bytes::{BufMut, BytesMut};
 use ode_events::event::EventTime;
 use ode_events::registry::EventRegistry;
 use ode_storage::codec::{decode_all, encode_to_vec, Decode, Encode};
-use ode_storage::hashindex::HashIndex;
 use ode_storage::{ClusterId, Oid, Storage, StorageOptions, TxnId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -95,9 +95,6 @@ pub(crate) struct TxnLocal {
     /// always, written only when changed — and simply dropped on abort
     /// (storage was never written).
     pub state_cache: HashMap<Oid, CachedTriggerState>,
-    /// Reusable buffer for trigger-index lookups during posting, so the
-    /// steady-state path allocates no fresh `Vec<Oid>` per event.
-    pub scratch: Vec<Oid>,
 }
 
 /// Sharded map of per-transaction scratch state ([`TxnLocal`]). Keyed by
@@ -131,8 +128,12 @@ pub struct Database {
     pub(crate) storage: Arc<Storage>,
     registry: Arc<EventRegistry>,
     schema: RwLock<Schema>,
-    pub(crate) trigger_index: HashIndex,
+    /// System cluster: the schema record and attribute-index B-tree nodes.
     pub(crate) trigger_cluster: ClusterId,
+    /// Every `TriggerState` record and nothing else, so full scans
+    /// (`tick`, `SHOW TRIGGERS`, `verify_integrity`) enumerate active
+    /// triggers without touching objects.
+    pub(crate) state_cluster: ClusterId,
     pub(crate) txn_local: TxnLocalMap,
     /// Session-wide name interner backing every [`Sym`] in the trigger
     /// run-time.
@@ -154,8 +155,8 @@ pub struct Database {
 }
 
 const ROOT_SCHEMA: &str = "ode.schema";
-const ROOT_TRIGGER_INDEX: &str = "ode.trigger_index";
 const ROOT_TRIGGER_CLUSTER: &str = "ode.trigger_cluster";
+const ROOT_STATE_CLUSTER: &str = "ode.state_cluster";
 
 impl Database {
     // ------------------------------------------------------------------
@@ -191,17 +192,17 @@ impl Database {
     fn bootstrap(storage: Arc<Storage>) -> Result<Database> {
         let txn = storage.begin()?;
         let trigger_cluster = storage.create_cluster(txn)?;
-        let index = HashIndex::create(&storage, txn, trigger_cluster)?;
+        let state_cluster = storage.create_cluster(txn)?;
         let schema_rec = SchemaRecord {
             next_class_id: 1,
             classes: Vec::new(),
         };
         let schema_oid = storage.allocate(txn, trigger_cluster, &encode_to_vec(&schema_rec))?;
         storage.set_root(txn, ROOT_SCHEMA, schema_oid)?;
-        storage.set_root(txn, ROOT_TRIGGER_INDEX, index.oid())?;
-        // The cluster id is stored as a root "pointer" by packing it into a
-        // fake Oid (page = cluster id). Small but explicit.
+        // Cluster ids are stored as root "pointers" by packing them into
+        // fake Oids (page = cluster id). Small but explicit.
         storage.set_root(txn, ROOT_TRIGGER_CLUSTER, Oid::new(trigger_cluster, 0))?;
+        storage.set_root(txn, ROOT_STATE_CLUSTER, Oid::new(state_cluster, 0))?;
         storage.commit(txn)?;
         let registry = Arc::new(EventRegistry::with_metrics(Arc::clone(storage.metrics())));
         let txn_local = TxnLocalMap::new(storage.options().shards);
@@ -209,8 +210,8 @@ impl Database {
             storage,
             registry,
             schema: RwLock::new(Schema::default()),
-            trigger_index: HashIndex::open(index.oid()),
             trigger_cluster,
+            state_cluster,
             txn_local,
             interner: Interner::default(),
             stats_baseline: Mutex::new(ode_obs::MetricsSnapshot::default()),
@@ -223,8 +224,21 @@ impl Database {
 
     fn attach(storage: Arc<Storage>) -> Result<Database> {
         let txn = storage.begin()?;
-        let index_oid = storage.get_root(txn, ROOT_TRIGGER_INDEX)?;
         let trigger_cluster = storage.get_root(txn, ROOT_TRIGGER_CLUSTER)?.page();
+        let state_cluster = match storage.get_root(txn, ROOT_STATE_CLUSTER) {
+            Ok(root) => root.page(),
+            // Files written before object headers carried their trigger
+            // refs kept the map in a separate hash index: opening one
+            // would silently show no active triggers.
+            Err(ode_storage::StorageError::NoSuchRoot(_)) => {
+                storage.abort(txn)?;
+                return Err(OdeError::UnsupportedFormat(format!(
+                    "no {ROOT_STATE_CLUSTER} root: the file predates trigger refs in \
+                     object headers"
+                )));
+            }
+            Err(e) => return Err(e.into()),
+        };
         storage.commit(txn)?;
         let registry = Arc::new(EventRegistry::with_metrics(Arc::clone(storage.metrics())));
         let txn_local = TxnLocalMap::new(storage.options().shards);
@@ -232,8 +246,8 @@ impl Database {
             storage,
             registry,
             schema: RwLock::new(Schema::default()),
-            trigger_index: HashIndex::open(index_oid),
             trigger_cluster,
+            state_cluster,
             txn_local,
             interner: Interner::default(),
             stats_baseline: Mutex::new(ode_obs::MetricsSnapshot::default()),
@@ -349,6 +363,13 @@ impl Database {
         let oid = self.storage.get_root(txn, ROOT_SCHEMA)?;
         let rec = decode_all(&self.storage.read(txn, oid)?)?;
         Ok((oid, rec))
+    }
+
+    /// The cluster of every class the schema record has ever assigned,
+    /// registered this session or not.
+    pub(crate) fn class_clusters(&self, txn: TxnId) -> Result<Vec<ClusterId>> {
+        let (_, rec) = self.load_schema_record(txn)?;
+        Ok(rec.classes.iter().map(|&(_, _, cluster)| cluster).collect())
     }
 
     /// Register a class descriptor for this session, assigning (or
@@ -512,7 +533,7 @@ impl Database {
         header: ObjectHeader,
         payload: &[u8],
     ) -> Result<()> {
-        let mut buf = BytesMut::with_capacity(5 + payload.len());
+        let mut buf = BytesMut::with_capacity(header.encoded_len() + payload.len());
         header.write(&mut buf);
         buf.put_slice(payload);
         self.storage.update(txn, oid, &buf)?;
@@ -544,16 +565,14 @@ impl Database {
     /// `pnew`: allocate a persistent object.
     pub fn pnew<T: OdeObject>(&self, txn: TxnId, value: &T) -> Result<PersistentPtr<T>> {
         let entry = self.entry(T::CLASS)?;
-        let header = ObjectHeader {
-            class_id: entry.id,
-            flags: 0,
-        };
+        let header = ObjectHeader::new(entry.id);
         let mut buf = BytesMut::new();
         header.write(&mut buf);
         value.encode(&mut buf);
         let oid = self.storage.allocate(txn, entry.cluster, &buf)?;
         self.note_txn_interest(txn, &entry.td, oid);
-        self.maintain_indexes(txn, T::CLASS, oid, None, Some(&buf[5..]))?;
+        let payload = &buf[header.encoded_len()..];
+        self.maintain_indexes(txn, T::CLASS, oid, None, Some(payload))?;
         Ok(PersistentPtr::from_oid(oid))
     }
 

@@ -1541,29 +1541,22 @@ impl Session {
 
     /// `SHOW TRIGGERS`: every trigger definition with its coupling mode,
     /// perpetual flag, and the number of live activated instances,
-    /// counted transactionally from the trigger-state index (so the
+    /// counted transactionally from the trigger-state cluster (so the
     /// session sees its own uncommitted ACTIVATEs).
     fn show_triggers(&mut self) -> std::result::Result<String, DdlError> {
         let db = Arc::clone(self.database()?);
-        // Live instance counts keyed (class, trigger), deduplicated by
-        // state oid — an inter-object instance is indexed under every
-        // anchor it watches.
+        // Live instance counts keyed (class, trigger): one state record
+        // per instance, however many anchors it watches.
         let counts = self.with_session_txn(|db, txn| {
-            let mut seen = std::collections::HashSet::new();
             let mut counts: HashMap<(String, String), u64> = HashMap::new();
-            for (_, state_oids) in db.trigger_index.entries(&db.storage, txn)? {
-                for oid in state_oids {
-                    if !seen.insert(oid.to_u64()) {
-                        continue;
-                    }
-                    let raw = db.storage.read(txn, oid)?;
-                    let rec = crate::trigger::TriggerStateRec::decode_with(&raw, &db.interner)?;
-                    let class = db.interner.resolve(rec.class_sym);
-                    let trigger = db.interner.resolve(rec.trigger_sym);
-                    *counts
-                        .entry((class.to_string(), trigger.to_string()))
-                        .or_insert(0) += 1;
-                }
+            for oid in db.storage.scan_cluster(txn, db.state_cluster)? {
+                let raw = db.storage.read(txn, oid)?;
+                let rec = crate::trigger::TriggerStateRec::decode_with(&raw, &db.interner)?;
+                let class = db.interner.resolve(rec.class_sym);
+                let trigger = db.interner.resolve(rec.trigger_sym);
+                *counts
+                    .entry((class.to_string(), trigger.to_string()))
+                    .or_insert(0) += 1;
             }
             Ok(counts)
         })?;
@@ -1703,11 +1696,8 @@ impl Session {
             vals[i] = expr.eval(&shape, &vals, None)?;
         }
         let oid = self.with_session_txn(|db, txn| {
-            let header = ObjectHeader {
-                class_id: entry.id,
-                flags: 0,
-            };
-            let mut buf = bytes::BytesMut::with_capacity(5 + vals.len() * 8);
+            let header = ObjectHeader::new(entry.id);
+            let mut buf = bytes::BytesMut::with_capacity(header.encoded_len() + vals.len() * 8);
             header.write(&mut buf);
             for v in &vals {
                 buf.extend_from_slice(&v.to_le_bytes());

@@ -25,6 +25,17 @@ pub enum OdeError {
     },
     /// A trigger action failed with an application error message.
     Action(String),
+    /// Immediate trigger firings nested deeper than
+    /// [`crate::post::MAX_CASCADE_DEPTH`]: an action that (directly or
+    /// through other triggers) keeps re-posting the event that fired it.
+    /// The statement fails and its transaction must abort.
+    CascadeTooDeep {
+        /// The limit that was hit.
+        depth: usize,
+    },
+    /// The database file was written in an on-disk layout this version
+    /// does not read.
+    UnsupportedFormat(String),
 }
 
 impl std::fmt::Display for OdeError {
@@ -37,6 +48,13 @@ impl std::fmt::Display for OdeError {
                 write!(f, "type mismatch: expected {expected}, object is {actual}")
             }
             OdeError::Action(m) => write!(f, "trigger action failed: {m}"),
+            OdeError::CascadeTooDeep { depth } => {
+                write!(
+                    f,
+                    "trigger cascade exceeded {depth} nested immediate firings"
+                )
+            }
+            OdeError::UnsupportedFormat(m) => write!(f, "unsupported database format: {m}"),
         }
     }
 }

@@ -18,8 +18,8 @@
 //!   the compiler-generated wrapper functions of §5.3. Volatile use of the
 //!   same Rust types costs nothing (design goals 3–4).
 //! * **Triggers**: activation/deactivation (§4.1), persistent trigger
-//!   state outside the object plus the object→triggers hash index
-//!   (§5.1.3), event posting with mask quiescence and
+//!   state outside the object, listed by Oid in each anchor's header as
+//!   the object→triggers map (§5.1.3), event posting with mask quiescence and
 //!   fire-after-all-posted (§5.4.5), perpetual vs once-only (§4),
 //!   and all four coupling modes with transaction events (§4.2, §5.5).
 //! * **Extensions** the paper lists as future work: local rules

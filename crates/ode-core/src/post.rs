@@ -5,8 +5,10 @@
 //! 1. If the object's control information says it has no active triggers,
 //!    stop — "no lookup is required" (footnote 3; our control info is the
 //!    flag byte in the object header).
-//! 2. Otherwise look up the object's active triggers in the persistent
-//!    index (§5.1.3).
+//! 2. Otherwise take the object's active triggers from the same header:
+//!    it lists the Oids of their `TriggerState` records (§5.1.3's object →
+//!    triggers map, see [`crate::object`]). The read that fetched the
+//!    class id already holds them — no second structure is probed.
 //! 3. For each `TriggerState`, find the `TriggerInfo` in the *defining*
 //!    class's type descriptor (`trigobjtype`, footnote 4), advance its FSM
 //!    on the event, evaluate masks until quiescence, and update the stored
@@ -36,10 +38,8 @@
 //! that lands back in its stored state (a perpetual trigger after each
 //! firing) is settled by the lock alone: no WAL record, no version, no
 //! dirty page. Aborts just drop the cache. Names travel as interned
-//! `Sym`s and `Arc`s, accounting goes through the lock-free `ode-obs`
-//! counters, and the index lookup fills a reusable per-transaction
-//! scratch buffer — a steady-state post acquires no mutex and allocates
-//! no `String`.
+//! `Sym`s and `Arc`s and accounting goes through the lock-free `ode-obs`
+//! counters — a steady-state post allocates no `String`.
 //!
 //! ## Snapshot readers
 //!
@@ -59,13 +59,51 @@ use crate::context::TriggerCtx;
 use crate::database::{Database, TxnLocal};
 use crate::error::{OdeError, Result};
 use crate::metatype::{CouplingMode, TriggerInfo};
-use crate::object::{OdeObject, PersistentPtr, FLAG_HAS_TRIGGERS};
+use crate::object::{OdeObject, PersistentPtr};
 use crate::trigger::{CachedTriggerState, TriggerId, TriggerStateRec};
 use ode_events::event::EventId;
 use ode_events::machine::Advance;
 use ode_storage::codec::{encode_to_vec, patch_u32_le, Encode};
 use ode_storage::{Oid, StorageError, TxnId};
+use std::cell::Cell;
 use std::sync::Arc;
+
+/// The deepest immediate-firing cascade a statement may build: an action
+/// that posts an event whose trigger fires immediately nests one level,
+/// on the same stack. A fixed limit, not a knob — 64 levels leave ample
+/// stack (a runaway cascade overflowed it at ~400 in debug builds), and
+/// hitting it fails the statement with [`OdeError::CascadeTooDeep`].
+pub const MAX_CASCADE_DEPTH: usize = 64;
+
+thread_local! {
+    /// Trigger actions running on this thread's stack. Actions run
+    /// synchronously on the posting thread, so this is exactly the
+    /// cascade depth the stack pays for.
+    static FIRE_DEPTH: Cell<usize> = const { Cell::new(0) };
+}
+
+/// One level of [`FIRE_DEPTH`], released on every exit path.
+struct DepthGuard;
+
+impl DepthGuard {
+    fn enter() -> Result<DepthGuard> {
+        FIRE_DEPTH.with(|d| {
+            if d.get() >= MAX_CASCADE_DEPTH {
+                return Err(OdeError::CascadeTooDeep {
+                    depth: MAX_CASCADE_DEPTH,
+                });
+            }
+            d.set(d.get() + 1);
+            Ok(DepthGuard)
+        })
+    }
+}
+
+impl Drop for DepthGuard {
+    fn drop(&mut self) {
+        FIRE_DEPTH.with(|d| d.set(d.get() - 1));
+    }
+}
 
 /// A trigger firing captured at detection time. Parameters and anchors
 /// are shared (`Arc`) with the state record they were cut from, so the
@@ -172,19 +210,16 @@ impl Database {
             anchors: anchors.into(),
         };
         let raw = rec.encode_to_vec_with(&self.interner);
-        let state_oid = self.storage.allocate(txn, self.trigger_cluster, &raw)?;
+        let state_oid = self.storage.allocate(txn, self.state_cluster, &raw)?;
         let id = TriggerId(state_oid);
 
-        // Index the state under every anchor and raise the has-triggers
-        // flag so posting can short-circuit for trigger-free objects.
-        let mut anchor_oids = vec![anchor];
-        anchor_oids.extend(rec.anchors.iter().map(|(_, o)| *o));
-        anchor_oids.sort_unstable();
-        anchor_oids.dedup();
-        for a in &anchor_oids {
-            self.trigger_index
-                .insert(&self.storage, txn, a.to_u64(), state_oid)?;
-            self.set_trigger_flag(txn, *a, true)?;
+        // List the state in every anchor's header: an ordinary logged
+        // update under the anchor's X lock, so an aborted activation
+        // rolls its refs back (§5.5). A missing anchor is an error.
+        for a in rec.anchor_oids() {
+            let (mut header, payload) = self.read_raw(txn, a)?;
+            header.add_ref(state_oid)?;
+            self.write_raw(txn, a, header, &payload)?;
         }
         let metrics = self.metrics();
         metrics.trigger_activations.inc();
@@ -229,7 +264,8 @@ impl Database {
     }
 
     /// Deactivate a trigger (§4.1's `deactivate(AutoRaise)`): remove its
-    /// state record and index entries. Returns false when the trigger was
+    /// state record and its ref from every anchor's header (the last ref
+    /// clears the has-triggers flag). Returns false when the trigger was
     /// already gone (e.g. a once-only trigger that fired).
     pub fn deactivate(&self, txn: TxnId, id: TriggerId) -> Result<bool> {
         // Drop any cached copy first: the pending statenum dies with the
@@ -244,30 +280,21 @@ impl Database {
         };
         let rec = TriggerStateRec::decode_with(&record, &self.interner)?;
         self.storage.free(txn, id.0)?;
-        let mut anchor_oids = vec![rec.anchor];
-        anchor_oids.extend(rec.anchors.iter().map(|(_, o)| *o));
-        anchor_oids.sort_unstable();
-        anchor_oids.dedup();
-        for a in anchor_oids {
-            self.trigger_index
-                .remove(&self.storage, txn, a.to_u64(), id.0)?;
-            if self
-                .trigger_index
-                .get(&self.storage, txn, a.to_u64())?
-                .is_empty()
-            {
-                self.set_trigger_flag(txn, a, false)?;
+        for a in rec.anchor_oids() {
+            let (mut header, payload) = self.read_raw(txn, a)?;
+            if header.remove_ref(id.0) {
+                self.write_raw(txn, a, header, &payload)?;
             }
         }
         self.metrics().trigger_deactivations.inc();
         Ok(true)
     }
 
-    /// Deactivate every trigger anchored at `oid` (used by `pdelete`).
+    /// Deactivate every trigger anchored at `oid` (used by `pdelete`,
+    /// before the object is freed).
     pub fn deactivate_all(&self, txn: TxnId, oid: Oid) -> Result<usize> {
-        let states = self.trigger_index.get(&self.storage, txn, oid.to_u64())?;
         let mut n = 0;
-        for state_oid in states {
+        for state_oid in self.read_header(txn, oid)?.refs {
             if self.deactivate(txn, TriggerId(state_oid))? {
                 n += 1;
             }
@@ -275,33 +302,15 @@ impl Database {
         Ok(n)
     }
 
-    /// The TriggerIds currently active on an object.
+    /// The TriggerIds currently active on an object, in activation order.
+    /// A deleted object has none.
     pub fn active_triggers(&self, txn: TxnId, oid: Oid) -> Result<Vec<TriggerId>> {
-        Ok(self
-            .trigger_index
-            .get(&self.storage, txn, oid.to_u64())?
-            .into_iter()
-            .map(TriggerId)
-            .collect())
-    }
-
-    fn set_trigger_flag(&self, txn: TxnId, oid: Oid, set: bool) -> Result<()> {
-        let (mut header, payload) = match self.read_raw(txn, oid) {
-            Ok(x) => x,
-            // The anchor may already be deleted (pdelete path).
-            Err(OdeError::Storage(StorageError::NoSuchObject(_))) => return Ok(()),
+        let refs = match self.read_header(txn, oid) {
+            Ok(header) => header.refs,
+            Err(OdeError::Storage(StorageError::NoSuchObject(_))) => Vec::new(),
             Err(e) => return Err(e),
         };
-        let new_flags = if set {
-            header.flags | FLAG_HAS_TRIGGERS
-        } else {
-            header.flags & !FLAG_HAS_TRIGGERS
-        };
-        if new_flags != header.flags {
-            header.flags = new_flags;
-            self.write_raw(txn, oid, header, &payload)?;
-        }
-        Ok(())
+        Ok(refs.into_iter().map(TriggerId).collect())
     }
 
     // ------------------------------------------------------------------
@@ -454,34 +463,16 @@ impl Database {
 
         let mut immediate: Vec<Firing> = Vec::new();
         if header.has_triggers() {
-            // Fill the transaction's scratch buffer instead of allocating
-            // a fresh Vec per post. Taken out while we iterate — masks
-            // and actions may post recursively, and a nested post simply
-            // starts from an empty scratch of its own.
-            let mut states = {
-                let mut locals = self.txn_local.lock(txn);
-                std::mem::take(&mut locals.entry(txn).or_default().scratch)
-            };
-            self.trigger_index
-                .get_into(&self.storage, txn, anchor.to_u64(), &mut states)?;
-            let mut walk = || -> Result<()> {
-                for &state_oid in states.iter() {
-                    if let Some(firing) =
-                        self.advance_one(txn, anchor, event, state_oid, event_args)?
-                    {
-                        if let Some(f) = self.schedule(txn, firing) {
-                            immediate.push(f);
-                        }
+            // The header's refs are this post's own copy: masks and
+            // actions that deactivate an instance mid-walk change the
+            // stored header, and `advance_one` skips a freed state.
+            for state_oid in header.refs {
+                if let Some(firing) = self.advance_one(txn, anchor, event, state_oid, event_args)? {
+                    if let Some(f) = self.schedule(txn, firing) {
+                        immediate.push(f);
                     }
                 }
-                Ok(())
-            };
-            let walked = walk();
-            states.clear();
-            if let Some(local) = self.txn_local.lock(txn).get_mut(&txn) {
-                local.scratch = states;
             }
-            walked?;
         } else {
             metrics.index_skips.inc();
         }
@@ -698,8 +689,10 @@ impl Database {
         }
     }
 
-    /// Execute a trigger action.
+    /// Execute a trigger action. Fails with [`OdeError::CascadeTooDeep`]
+    /// instead of nesting past [`MAX_CASCADE_DEPTH`] actions on one stack.
     pub(crate) fn fire(&self, txn: TxnId, firing: &Firing, _immediate: bool) -> Result<()> {
+        let _depth = DepthGuard::enter()?;
         let entry = self.entry_sym(firing.class_sym)?;
         let info = entry
             .td

@@ -19,8 +19,9 @@
 
 use crate::database::Database;
 use crate::error::Result;
+use crate::trigger::TriggerStateRec;
 use ode_events::event::EventId;
-use ode_storage::{Oid, TxnId};
+use ode_storage::TxnId;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -29,18 +30,21 @@ impl Database {
     /// objects the tick event was posted to.
     pub fn tick(&self, txn: TxnId, timer: &str) -> Result<usize> {
         // Only objects with active triggers can care; enumerate the
-        // trigger index rather than every object in the database.
-        let entries = self.trigger_index.entries(&self.storage, txn)?;
+        // anchors of the trigger-state records rather than every object
+        // in the database.
+        let mut anchors = Vec::new();
+        for state in self.storage.scan_cluster(txn, self.state_cluster)? {
+            let raw = self.storage.read(txn, state)?;
+            anchors.extend(TriggerStateRec::decode_with(&raw, &self.interner)?.anchor_oids());
+        }
+        anchors.sort_unstable();
+        anchors.dedup();
         // class id → declared `timer <timer>` event, resolved at most
         // once per class per tick (the resolution walks the descriptor's
         // event list comparing strings; armed objects share few classes).
         let mut per_class: HashMap<u32, Option<EventId>> = HashMap::new();
         let mut posted = 0;
-        for (key, states) in entries {
-            if states.is_empty() {
-                continue;
-            }
-            let oid = Oid::from_u64(key);
+        for oid in anchors {
             let Ok(header) = self.read_header(txn, oid) else {
                 continue;
             };

@@ -137,6 +137,16 @@ impl TriggerStateRec {
         Ok(rec)
     }
 
+    /// Every object whose header lists this record: the anchor plus, for
+    /// inter-object triggers, each named anchor — sorted, without repeats.
+    pub fn anchor_oids(&self) -> Vec<Oid> {
+        let mut oids = vec![self.anchor];
+        oids.extend(self.anchors.iter().map(|(_, o)| *o));
+        oids.sort_unstable();
+        oids.dedup();
+        oids
+    }
+
     /// Byte offset of `statenum` within the encoded record: after the
     /// `u32` triggernum and the length-prefixed trigger name.
     pub fn statenum_offset(trigger_name_len: usize) -> usize {

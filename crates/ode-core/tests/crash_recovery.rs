@@ -7,8 +7,10 @@
 //! torn write, after which all I/O fails), reopens the directory with a
 //! fresh un-injected engine, and asserts the recovered database equals
 //! the state after the last *acknowledged* commit — object payloads,
-//! persistent trigger-FSM statenums, and the object→trigger hash index
-//! (via `verify_integrity`) all included.
+//! persistent trigger-FSM statenums, each card's active-trigger set (the
+//! trigger refs in its header, churned by activation steps) and their
+//! agreement with the state records (via `verify_integrity`) all
+//! included.
 //!
 //! The workload is laced with MVCC snapshot readers (a long-lived
 //! rotated reader pinning the GC horizon plus a per-step consistency
@@ -85,10 +87,11 @@ fn disk_options(fsync: bool, fault: Option<Arc<FaultInjector>>) -> StorageOption
     }
 }
 
-/// Everything recovery must reproduce: each card's payload plus its
-/// trigger's stored statenum (`None` once the non-perpetual
-/// `AutoRaiseLimit` has fired and deactivated itself).
-type Snapshot = Vec<(CredCard, Option<u32>)>;
+/// Everything recovery must reproduce: each card's payload, its
+/// `AutoRaiseLimit` trigger's stored statenum (`None` once the
+/// non-perpetual trigger has fired and deactivated itself), and the set of
+/// its active triggers.
+type Snapshot = Vec<(CredCard, Option<u32>, Vec<TriggerId>)>;
 
 fn take_snapshot(
     db: &Database,
@@ -114,7 +117,9 @@ fn snapshot_in(
         .map(|(&card, &trig)| {
             let payload = db.read(txn, card)?;
             let statenum = db.trigger_statenum(txn, trig).ok();
-            Ok((payload, statenum))
+            let mut active = db.active_triggers(txn, card.oid())?;
+            active.sort_unstable_by_key(|id| id.oid());
+            Ok((payload, statenum, active))
         })
         .collect()
 }
@@ -130,8 +135,10 @@ fn take_snapshot_ro(
 }
 
 /// Create the database, register the §4 class, mint `CARDS` cards and
-/// activate `AutoRaiseLimit` on each — all *before* the fault is armed,
-/// mirroring an installation that was healthy until the crash window.
+/// activate `AutoRaiseLimit` and `DenyCredit` on each (so the first
+/// activation step on a card deactivates) — all *before* the fault is
+/// armed, mirroring an installation that was healthy until the crash
+/// window.
 fn setup(
     dir: &TempDir,
     fsync: bool,
@@ -146,6 +153,7 @@ fn setup(
             for i in 0..CARDS {
                 let card = db.pnew(txn, &CredCard::new(1000.0 + 100.0 * i as f32))?;
                 trigs.push(db.activate(txn, card, "AutoRaiseLimit", &250.0f32)?);
+                db.activate(txn, card, "DenyCredit", &())?;
                 cards.push(card);
             }
             Ok((cards, trigs))
@@ -156,15 +164,19 @@ fn setup(
 
 /// One workload transaction, chosen by the (deterministic) step PRNG.
 /// Arms `MoreCred` with big buys, fires `AutoRaiseLimit` with pay-bills,
-/// and sprinkles in `tabort`ed transactions so Abort records land in the
-/// log between the commits recovery must replay.
+/// toggles `DenyCredit` on and off (so crash points land inside header
+/// trigger-ref updates), and sprinkles in `tabort`ed transactions so
+/// Abort records land in the log between the commits recovery must
+/// replay.
 fn apply_step(
     db: &Database,
     rng: &mut Lcg,
     cards: &[PersistentPtr<CredCard>],
+    trigs: &[TriggerId],
 ) -> ode_core::Result<()> {
-    let card = cards[rng.below(cards.len() as u64) as usize];
-    match rng.below(8) {
+    let i = rng.below(cards.len() as u64) as usize;
+    let card = cards[i];
+    match rng.below(9) {
         0 => db.with_txn(|txn| buy(db, txn, card, 850.0)),
         1 => db.with_txn(|txn| buy(db, txn, card, 120.0)),
         2 | 3 => db.with_txn(|txn| pay_bill(db, txn, card, 400.0)),
@@ -172,12 +184,24 @@ fn apply_step(
             buy(db, txn, card, 60.0)?;
             Err(ode_core::OdeError::tabort("crash-harness abort"))
         }),
+        // Every trigger on a card other than its `AutoRaiseLimit` is a
+        // `DenyCredit`: deactivate it if armed, activate it otherwise.
+        5 => db.with_txn(|txn| {
+            let deny = db
+                .active_triggers(txn, card.oid())?
+                .into_iter()
+                .find(|id| *id != trigs[i]);
+            match deny {
+                Some(id) => db.deactivate(txn, id).map(|_| ()),
+                None => db.activate(txn, card, "DenyCredit", &()).map(|_| ()),
+            }
+        }),
         // A quiesced checkpoint mid-script: it vacuums the MVCC version
         // store and rewrites the page image, so crash points can land
         // mid-GC / mid-checkpoint, not just between commits. (While a
         // snapshot reader is open it refuses with `NotQuiesced` — treat
         // that like the historical no-op.)
-        5 => match db.storage().checkpoint() {
+        6 => match db.storage().checkpoint() {
             Ok(()) | Err(ode_storage::StorageError::NotQuiesced(_)) => Ok(()),
             Err(e) => Err(e.into()),
         },
@@ -198,11 +222,11 @@ fn apply_step(
 /// the 64 crash points are then scattered.
 fn rehearse(seed: u64, fsync: bool) -> u64 {
     let dir = TempDir::new("crash-rehearse");
-    let (db, cards, _trigs) = setup(&dir, fsync, None);
+    let (db, cards, trigs) = setup(&dir, fsync, None);
     let after_setup = db.storage().wal_flushed_lsn().unwrap();
     let mut rng = Lcg::new(seed);
     for _ in 0..STEPS {
-        let _ = apply_step(&db, &mut rng, &cards);
+        let _ = apply_step(&db, &mut rng, &cards, &trigs);
     }
     let after_workload = db.storage().wal_flushed_lsn().unwrap();
     db.close().unwrap();
@@ -251,7 +275,7 @@ fn run_crash_point(seed: u64, point: usize, budget: u64, fsync: bool) {
                 let _ = db.commit(txn);
             }
         }
-        let result = apply_step(&db, &mut rng, &cards);
+        let result = apply_step(&db, &mut rng, &cards, &trigs);
         if injector.tripped() {
             // The device died somewhere inside this step: whatever the
             // step's outcome, its transaction was never acknowledged as
@@ -305,8 +329,8 @@ fn run_crash_point(seed: u64, point: usize, budget: u64, fsync: bool) {
         "crash point {point} (seed {seed}, budget {budget} bytes): \
          post-recovery snapshot read diverged"
     );
-    // The object→trigger hash index, TriggerState records, and header
-    // flags must agree after replay, not just the payloads.
+    // The header trigger refs and the TriggerState records must agree
+    // after replay, not just the payloads.
     db.with_txn(|txn| {
         let report = db.verify_integrity(txn)?;
         assert!(

@@ -136,7 +136,7 @@ fn undeclared_member_functions_post_nothing() {
             Ok(())
         })?;
         assert_eq!(db.trigger_stats().events_posted, 1);
-        // …but the per-object flag short-circuits the index lookup
+        // …but the per-object flag short-circuits the trigger lookup
         // (§5.4.5 footnote 3).
         assert_eq!(db.trigger_stats().index_skips, 1);
         Ok(())

@@ -234,7 +234,7 @@ fn action_deactivating_sibling_leaves_no_stale_state() {
     assert_eq!(victim_fired.load(Ordering::SeqCst), 1, "no stale firing");
 
     // Deactivate the assassin too: the anchor's flag byte must clear, so
-    // the next posting short-circuits without an index lookup.
+    // the next posting short-circuits without a trigger lookup.
     db.with_txn(|txn| {
         assert!(db.deactivate(txn, assassin)?);
         Ok(())

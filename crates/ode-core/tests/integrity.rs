@@ -4,7 +4,7 @@
 mod common;
 
 use common::{buy, cred_card_class, pay_bill, CredCard};
-use ode_core::{Database, TriggerId};
+use ode_core::{Database, IntegrityIssue, TriggerId};
 
 #[test]
 fn healthy_after_activation_churn() {
@@ -110,32 +110,57 @@ fn healthy_after_aborted_churn() {
 
 #[test]
 fn detects_planted_corruption() {
-    // Sanity-check the checker itself: plant an inconsistency and make
-    // sure it is reported.
+    // Sanity-check the checker itself: plant an inconsistency of each
+    // kind and make sure exactly those are reported.
     let db = Database::volatile();
     cred_card_class(&db);
-    let (card, id) = db
+    let armed: Vec<_> = db
         .with_txn(|txn| {
-            let card = db.pnew(txn, &CredCard::new(1000.0))?;
-            let id = db.activate(txn, card, "DenyCredit", &())?;
-            Ok((card, id))
+            (0..3)
+                .map(|_| {
+                    let card = db.pnew(txn, &CredCard::new(1000.0))?;
+                    Ok((card.oid(), db.activate(txn, card, "DenyCredit", &())?.oid()))
+                })
+                .collect()
         })
         .unwrap();
-    let _ = card;
-    // Free the state record behind the index's back.
+    let [(a, a_state), (b, b_state), (c, c_state)] = armed[..] else {
+        unreachable!()
+    };
     db.with_txn(|txn| {
-        db.storage().free(txn, id.oid())?;
+        let s = db.storage();
+        // a's state record is freed behind its back: a's ref dangles.
+        s.free(txn, a_state)?;
+        // b's state record no longer decodes: b's ref dangles too.
+        s.update(txn, b_state, b"junk")?;
+        // c's header is stripped to a bare `[class_id][flags]`, payload
+        // kept: its live state record is no longer listed.
+        let record = s.read(txn, c)?;
+        let bare = [&record[..4], &[0], &record[5 + 2 + 6..]].concat();
+        s.update(txn, c, &bare)?;
         Ok(())
     })
     .unwrap();
-    db.with_txn(|txn| {
-        let report = db.verify_integrity(txn)?;
-        assert!(!report.is_healthy());
-        assert!(report
-            .issues
-            .iter()
-            .any(|i| matches!(i, ode_core::IntegrityIssue::DanglingIndexEntry { .. })));
-        Ok(())
-    })
-    .unwrap();
+    let mut issues = db
+        .with_txn(|txn| Ok(db.verify_integrity(txn)?.issues))
+        .unwrap();
+    let mut expect = vec![
+        IntegrityIssue::DanglingRef {
+            anchor: a,
+            state: a_state,
+        },
+        IntegrityIssue::UndecodableState { state: b_state },
+        IntegrityIssue::DanglingRef {
+            anchor: b,
+            state: b_state,
+        },
+        IntegrityIssue::MissingRef {
+            anchor: c,
+            state: c_state,
+        },
+    ];
+    let key = |i: &IntegrityIssue| format!("{i:?}");
+    issues.sort_by_key(key);
+    expect.sort_by_key(key);
+    assert_eq!(issues, expect);
 }

@@ -1,6 +1,6 @@
 //! Regression coverage for the `Database::tick` hot path: tick cost must
-//! scale with the objects *interested* in the timer, not with everything
-//! armed in the trigger index.
+//! scale with the objects *interested* in the timer, not with every
+//! armed object.
 
 use bytes::BytesMut;
 use ode_core::{ClassBuilder, CouplingMode, Database, Decode, Encode, OdeObject, Perpetual};

@@ -816,7 +816,7 @@ metrics! {
         // ---------------------------------------------------------------
         /// Basic events posted to objects.
         events_posted,
-        /// Index lookups skipped via the header has-triggers flag byte.
+        /// Posts that stopped at a clear header has-triggers flag byte.
         index_skips,
         /// Per-trigger-instance FSM advances performed (persistent and local).
         fsm_advances,

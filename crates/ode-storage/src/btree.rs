@@ -2,10 +2,9 @@
 //!
 //! §5.6 of the paper: disk-based Ode offered B-trees ("full Ode
 //! functionality (except for B-trees which do not exist in Dali)"); this
-//! module provides that indexing substrate. Unlike the hash index of
-//! §5.1.3 (used for the object→triggers map), the B+-tree supports ordered
-//! keys and range scans — the shape an O++ application would use to index
-//! class attributes.
+//! module provides that indexing substrate: ordered keys and range
+//! scans — the shape an O++ application would use to index class
+//! attributes.
 //!
 //! Representation: every node is an ordinary storage record, so all
 //! operations are transactional and locked through the regular object

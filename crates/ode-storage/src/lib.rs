@@ -21,7 +21,6 @@
 //! * [`version`] — per-object version chains backing MVCC snapshot reads:
 //!   read-only transactions bypass the lock manager entirely, which
 //!   removes the §6 read-amplification ceiling for pure readers.
-//! * [`hashindex`] — the persistent object→triggers multimap of §5.1.3.
 //! * [`btree`] — a persistent B+-tree (disk-Ode's ordered index, §5.6).
 //! * [`codec`] — explicit, layout-stable binary encoding (§3, goal 5).
 //!
@@ -46,7 +45,6 @@ pub mod codec;
 pub mod disk;
 pub mod error;
 pub mod fault;
-pub mod hashindex;
 pub mod lock;
 pub mod mem;
 pub mod oid;

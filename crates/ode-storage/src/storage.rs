@@ -54,7 +54,7 @@ use crate::wal::{LogRecord, Wal};
 use bytes::{BufMut, BytesMut};
 use ode_obs::{FlightEvent, Metrics};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -235,8 +235,12 @@ struct AllocGlobal {
 /// instead of a process-wide one.
 #[derive(Default)]
 struct AllocShard {
-    /// Pages per cluster believed to have usable space (this shard only).
-    with_space: HashMap<ClusterId, BTreeSet<PageId>>,
+    /// Pages per cluster believed to have usable space (this shard only),
+    /// each with the shortest cell it was since found too full for
+    /// (`usize::MAX` until a probe fails). `pick_page` skips a page for
+    /// any cell at least that long without reading it; `note_space`
+    /// resets the bound whenever the page's space changes.
+    with_space: HashMap<ClusterId, BTreeMap<PageId, usize>>,
     /// Pages not yet assigned to any cluster (this shard only).
     unassigned: BTreeSet<PageId>,
 }
@@ -918,7 +922,11 @@ impl Storage {
             } else {
                 global.cluster_pages.entry(cluster).or_default().insert(id);
                 if free >= SPACE_THRESHOLD {
-                    shard.with_space.entry(cluster).or_default().insert(id);
+                    shard
+                        .with_space
+                        .entry(cluster)
+                        .or_default()
+                        .insert(id, usize::MAX);
                 }
             }
         }
@@ -1551,7 +1559,7 @@ impl Storage {
         let mut shard = self.lock_alloc_shard(self.alloc_shard_of(page));
         let set = shard.with_space.entry(cluster).or_default();
         if free >= SPACE_THRESHOLD {
-            set.insert(page);
+            set.insert(page, usize::MAX);
         } else {
             set.remove(&page);
         }
@@ -1574,14 +1582,20 @@ impl Storage {
         let start = self.preferred_alloc_shard();
         for i in 0..self.alloc_shards.len() {
             let idx = (start + i) & self.alloc_mask;
-            let shard = self.lock_alloc_shard(idx);
-            if let Some(set) = shard.with_space.get(&cluster) {
-                // Newest pages first: they are most likely to fit.
-                for &candidate in set.iter().rev() {
-                    let fits = self.store.with_page(candidate, |p| p.can_insert(len))?;
-                    if fits {
+            let mut shard = self.lock_alloc_shard(idx);
+            if let Some(set) = shard.with_space.get_mut(&cluster) {
+                // Newest pages first: they are most likely to fit. A page
+                // already too full for a cell this long is skipped
+                // unread, so a cluster of nearly full pages costs one
+                // probe each, not one per insert.
+                for (&candidate, too_full_for) in set.iter_mut().rev() {
+                    if len >= *too_full_for {
+                        continue;
+                    }
+                    if self.store.with_page(candidate, |p| p.can_insert(len))? {
                         return Ok(candidate);
                     }
+                    *too_full_for = len;
                 }
             }
         }
@@ -1635,7 +1649,7 @@ impl Storage {
             .with_space
             .entry(cluster)
             .or_default()
-            .insert(page);
+            .insert(page, usize::MAX);
         Ok(page)
     }
 
@@ -1965,9 +1979,8 @@ impl Storage {
     /// Read bytes `start..start + len` of an object, under the same lock
     /// and snapshot rules as [`Storage::read`]. On an overflow record only
     /// the chunks covering the range are read, so probing one slot of a
-    /// large record (a hash-index directory) costs one or two chunk reads
-    /// instead of the whole chain. A range past the record's end is a
-    /// codec error.
+    /// large record costs one or two chunk reads instead of the whole
+    /// chain. A range past the record's end is a codec error.
     pub fn read_range(&self, txn: TxnId, oid: Oid, start: usize, len: usize) -> Result<Vec<u8>> {
         self.txns.require_active(txn)?;
         if let Some(s) = self.txns.snapshot_of(txn) {

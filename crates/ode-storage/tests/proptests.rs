@@ -3,7 +3,6 @@
 //! random operation sequences.
 
 use ode_storage::btree::{u64_key, BTree};
-use ode_storage::hashindex::HashIndex;
 use ode_storage::oid::Oid;
 use ode_storage::page::{Page, PAGE_SIZE};
 use ode_storage::storage::{Storage, StorageOptions};
@@ -365,82 +364,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Hash index and B-tree vs std collections
+// B-tree vs std collections
 // ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum IndexOp {
-    Insert(u16, u32),
-    Remove(u16, u32),
-    RemoveAll(u16),
-}
-
-fn index_ops() -> impl Strategy<Value = Vec<IndexOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (any::<u16>(), any::<u32>()).prop_map(|(k, v)| IndexOp::Insert(k % 64, v % 16)),
-            (any::<u16>(), any::<u32>()).prop_map(|(k, v)| IndexOp::Remove(k % 64, v % 16)),
-            any::<u16>().prop_map(|k| IndexOp::RemoveAll(k % 64)),
-        ],
-        0..120,
-    )
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn hash_index_matches_model(ops in index_ops()) {
-        let storage = Storage::volatile();
-        let txn = storage.begin().unwrap();
-        let cluster = storage.create_cluster(txn).unwrap();
-        let index = HashIndex::create(&storage, txn, cluster).unwrap();
-        let mut model: HashMap<u64, Vec<Oid>> = HashMap::new();
-        for op in ops {
-            match op {
-                IndexOp::Insert(k, v) => {
-                    let key = k as u64;
-                    let value = Oid::from_u64(v as u64);
-                    index.insert(&storage, txn, key, value).unwrap();
-                    let entry = model.entry(key).or_default();
-                    if !entry.contains(&value) {
-                        entry.push(value);
-                    }
-                }
-                IndexOp::Remove(k, v) => {
-                    let key = k as u64;
-                    let value = Oid::from_u64(v as u64);
-                    let removed = index.remove(&storage, txn, key, value).unwrap();
-                    let model_removed = match model.get_mut(&key) {
-                        Some(values) => match values.iter().position(|x| *x == value) {
-                            Some(i) => {
-                                values.remove(i);
-                                if values.is_empty() {
-                                    model.remove(&key);
-                                }
-                                true
-                            }
-                            None => false,
-                        },
-                        None => false,
-                    };
-                    prop_assert_eq!(removed, model_removed);
-                }
-                IndexOp::RemoveAll(k) => {
-                    let key = k as u64;
-                    let removed = index.remove_all(&storage, txn, key).unwrap();
-                    let expected = model.remove(&key).map(|v| v.len()).unwrap_or(0);
-                    prop_assert_eq!(removed, expected);
-                }
-            }
-        }
-        // Final state comparison.
-        prop_assert_eq!(index.key_count(&storage, txn).unwrap(), model.len() as u64);
-        for (key, values) in &model {
-            prop_assert_eq!(&index.get(&storage, txn, *key).unwrap(), values);
-        }
-        storage.commit(txn).unwrap();
-    }
 
     #[test]
     fn btree_matches_model(ops in prop::collection::vec(

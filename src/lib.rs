@@ -11,7 +11,7 @@
 //! * [`storage`] (`ode-storage`) — the EOS-like disk engine and Dali-like
 //!   main-memory engine: slotted pages, buffer pool, WAL + recovery,
 //!   strict 2PL with deadlock detection, transactions with commit
-//!   dependencies, and a persistent hash index.
+//!   dependencies, and a persistent B+-tree.
 //! * [`events`] (`ode-events`) — basic events, the run-time `eventRep`
 //!   registry of globally unique event integers, the event-expression
 //!   parser, and the NFA→DFA compiler with mask states (the paper's
