@@ -71,7 +71,10 @@ impl std::error::Error for OdeError {
 
 impl From<StorageError> for OdeError {
     fn from(e: StorageError) -> Self {
-        OdeError::Storage(e)
+        match e {
+            StorageError::UnsupportedFormat(m) => OdeError::UnsupportedFormat(m),
+            e => OdeError::Storage(e),
+        }
     }
 }
 

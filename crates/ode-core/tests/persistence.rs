@@ -5,7 +5,7 @@
 mod common;
 
 use common::{buy, cred_card_class, pay_bill, CredCard};
-use ode_core::{Database, EngineKind, StorageOptions};
+use ode_core::{Database, EngineKind, OdeError, StorageOptions};
 use ode_testutil::TempDir;
 
 fn options(engine: EngineKind) -> StorageOptions {
@@ -93,6 +93,26 @@ fn trigger_state_survives_crash_recovery() {
             Ok(())
         })
         .unwrap();
+    }
+}
+
+#[test]
+fn a_doublewrite_journal_without_its_header_is_refused_by_name() {
+    let dir = TempDir::new("dw-format");
+    {
+        let db = Database::create(dir.path(), options(EngineKind::Disk)).unwrap();
+        cred_card_class(&db);
+        db.with_txn(|txn| db.pnew(txn, &CredCard::new(1000.0)))
+            .unwrap();
+        std::mem::forget(db);
+    }
+    // The journal layout before its header: frames from offset 0. Its
+    // torn-page repairs cannot be read, so the open must not go ahead.
+    std::fs::write(dir.path().join("data.odb.dw"), vec![0u8; 4104]).unwrap();
+    match Database::open(dir.path(), options(EngineKind::Disk)) {
+        Err(OdeError::UnsupportedFormat(why)) => assert!(why.contains("doublewrite"), "{why}"),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("a header-less doublewrite journal was skipped"),
     }
 }
 

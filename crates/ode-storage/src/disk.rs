@@ -3,7 +3,8 @@
 //! A database file is a flat array of [`PAGE_SIZE`] pages. Page 0 is the
 //! database header (magic, format version, checkpoint counter); data pages
 //! start at 1. All access goes through the buffer pool; this module only
-//! knows how to read, write, and extend the file.
+//! knows how to read, write, and extend the file. Every page transfer is
+//! one positional call (`pread` / `pwrite`): no seek, no staging buffer.
 //!
 //! ## Torn-page protection (doublewrite)
 //!
@@ -14,7 +15,21 @@
 //! full image to a sidecar doublewrite journal (`<db>.dw`): a torn
 //! journal frame is ignored (the in-place write never started), a torn
 //! in-place write is repaired at open from the journal's complete frame.
-//! The journal is truncated at each checkpoint.
+//! The journal is truncated back to its header at each checkpoint.
+//!
+//! The journal is an 8-byte header (magic `ODEDW\0`, then a little-endian
+//! `u16` format version) followed by frames of `[page id u32][sum
+//! u32][image]`. A steal costs two writes: the frame, built in one buffer
+//! and appended with one `pwrite` at the journal end kept under the
+//! journal mutex, then the image in place with one `pwrite`. The sum is
+//! `frame_sum`, a four-lane multiply-rotate hash over the image's
+//! little-endian `u64` words seeded with the page id. Its one job is to
+//! tell a complete frame from one whose bytes never all landed, so it
+//! needs to see every changed word, not resist an adversary. A non-empty
+//! journal without the header (one written before the header existed,
+//! whose frames were summed differently) is refused with
+//! [`StorageError::UnsupportedFormat`] rather than skipped frame by frame,
+//! which would silently drop its torn-page repairs.
 
 use crate::error::{Result, StorageError};
 use crate::fault::{FaultFile, FaultInjector};
@@ -27,6 +42,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"ODEDB\0\x01\x00";
+
+/// The doublewrite journal's header: magic, then format version 2
+/// (version 1 was the header-less journal summed with byte-wise FNV-1a).
+const DW_HEADER: &[u8; 8] = b"ODEDW\0\x02\x00";
 
 /// The on-disk database header living in page 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,15 +81,35 @@ impl DbHeader {
     }
 }
 
-/// Checksum over a doublewrite frame's page image (same FNV-1a the WAL
-/// uses for its frames).
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+/// Checksum of a doublewrite frame: four independent lanes, each folding
+/// in every fourth little-endian `u64` word of the image as `lane = (lane
+/// ^ word) * K` rotated left 29, seeded with the page id, then mixed down
+/// to 32 bits. Each step is a bijection of the lane for a fixed word and
+/// of the word for a fixed lane, so two images that differ in any word
+/// leave some lane different; only the final fold can collide (about
+/// 2^-32). The lanes have no data dependence on each other, so the loop
+/// runs at the multiplier's throughput rather than its latency.
+fn frame_sum(id: PageId, image: &[u8]) -> u32 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    debug_assert_eq!(image.len() % 32, 0);
+    let mut lanes = [
+        u64::from(id) ^ 0x243F_6A88_85A3_08D3,
+        0x1319_8A2E_0370_7344,
+        0xA409_3822_299F_31D0,
+        0x082E_FA98_EC4E_6C89,
+    ];
+    for block in image.chunks_exact(32) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().unwrap());
+            *lane = ((*lane ^ word).wrapping_mul(K)).rotate_left(29);
+        }
     }
-    h
+    let mut h =
+        lanes[0] ^ lanes[1].rotate_left(16) ^ lanes[2].rotate_left(32) ^ lanes[3].rotate_left(48);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    (h ^ (h >> 32)) as u32
 }
 
 /// Bytes per doublewrite journal frame: page id + checksum + image.
@@ -82,6 +121,40 @@ fn dw_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
+fn page_offset(id: PageId) -> u64 {
+    id as u64 * PAGE_SIZE as u64
+}
+
+/// The doublewrite journal and the state of its append.
+struct Journal {
+    file: FaultFile,
+    /// Byte offset of the next frame (the journal's length).
+    end: u64,
+    /// The frame under construction, reused by every append.
+    frame: Box<[u8; DW_FRAME]>,
+}
+
+impl Journal {
+    /// A journal over `file`, emptied down to its header.
+    fn start(file: FaultFile) -> Result<Journal> {
+        let mut journal = Journal {
+            file,
+            end: 0,
+            frame: Box::new([0u8; DW_FRAME]),
+        };
+        journal.reset()?;
+        Ok(journal)
+    }
+
+    /// Truncate to an empty journal: just the header.
+    fn reset(&mut self) -> Result<()> {
+        self.file.set_len(0)?;
+        self.file.write_all_at(DW_HEADER, 0)?;
+        self.end = DW_HEADER.len() as u64;
+        Ok(())
+    }
+}
+
 /// A page file on disk.
 pub struct DiskFile {
     file: Mutex<FaultFile>,
@@ -90,7 +163,7 @@ pub struct DiskFile {
     /// Doublewrite journal. Held across the journal append *and* the
     /// in-place write so a checkpoint's journal truncation can never race
     /// between the two halves of a steal's write-back.
-    dw: Mutex<FaultFile>,
+    dw: Mutex<Journal>,
 }
 
 impl DiskFile {
@@ -113,10 +186,11 @@ impl DiskFile {
             .create(true)
             .truncate(true)
             .open(dw_path(path))?;
+        let journal = Journal::start(FaultFile::new(dw, injector.clone()))?;
         let disk = DiskFile {
-            file: Mutex::new(FaultFile::new(file, injector.clone())),
+            file: Mutex::new(FaultFile::new(file, injector)),
             page_count: Mutex::new(1),
-            dw: Mutex::new(FaultFile::new(dw, injector)),
+            dw: Mutex::new(journal),
         };
         disk.write_header(DbHeader {
             page_count: 1,
@@ -134,7 +208,8 @@ impl DiskFile {
     /// Open, routing writes/fsyncs through an optional fault injector.
     /// Repairs torn in-place page writes from the doublewrite journal and
     /// truncates a torn tail page (a crash mid-extension) before any
-    /// validation.
+    /// validation. A non-empty journal without the current header is
+    /// refused with [`StorageError::UnsupportedFormat`].
     pub fn open_with(path: &Path, injector: Option<Arc<FaultInjector>>) -> Result<DiskFile> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut file = FaultFile::new(file, injector.clone());
@@ -146,26 +221,33 @@ impl DiskFile {
             .truncate(false)
             .open(dw_path(path))?;
         let mut dw = FaultFile::new(dw, injector);
+        let mut journal = Vec::new();
+        dw.read_to_end(&mut journal)?;
+        let frames = match journal.strip_prefix(DW_HEADER.as_slice()) {
+            Some(frames) => frames,
+            // Empty, or a header whose write a crash tore: no frames.
+            None if DW_HEADER.starts_with(&journal) => &[],
+            None => {
+                return Err(StorageError::UnsupportedFormat(format!(
+                    "doublewrite journal {} has {} bytes but no version-2 header",
+                    dw_path(path).display(),
+                    journal.len()
+                )))
+            }
+        };
         // Replay every complete doublewrite frame in order: page images
         // are idempotent, so re-applying ones whose in-place write did
         // succeed is harmless.
-        dw.seek(SeekFrom::Start(0))?;
-        let mut journal = Vec::new();
-        dw.read_to_end(&mut journal)?;
-        let mut cursor = &journal[..];
-        while cursor.len() >= DW_FRAME {
-            let id = u32::from_le_bytes(cursor[0..4].try_into().unwrap());
-            let sum = u32::from_le_bytes(cursor[4..8].try_into().unwrap());
-            let image = &cursor[8..DW_FRAME];
-            if fnv1a(image) != sum {
+        for frame in frames.chunks_exact(DW_FRAME) {
+            let id = u32::from_le_bytes(frame[0..4].try_into().unwrap());
+            let sum = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+            let image = &frame[8..];
+            if frame_sum(id, image) != sum {
                 break; // torn journal tail: its in-place write never began
             }
-            file.seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-            file.write_all(image)?;
-            cursor = &cursor[DW_FRAME..];
+            file.write_all_at(image, page_offset(id))?;
         }
-        dw.set_len(0)?;
-        dw.seek(SeekFrom::Start(0))?;
+        let journal = Journal::start(dw)?;
         // A crash while extending the file can leave a torn tail page;
         // drop it (its contents were never acknowledged anywhere).
         let len = file.seek(SeekFrom::End(0))?;
@@ -181,7 +263,7 @@ impl DiskFile {
         let disk = DiskFile {
             file: Mutex::new(file),
             page_count: Mutex::new(0),
-            dw: Mutex::new(dw),
+            dw: Mutex::new(journal),
         };
         let header = disk.read_header_raw()?;
         let physical = (whole / PAGE_SIZE as u64) as u32;
@@ -222,12 +304,13 @@ impl DiskFile {
         self.write_page(0, &header.to_page())
     }
 
+    /// One `pread` straight into the new page's own buffer.
     fn read_page_internal(&self, id: PageId) -> Result<Page> {
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        file.read_exact(&mut buf)?;
-        Ok(Page::from_bytes(&buf))
+        let mut page = Page::new();
+        self.file
+            .lock()
+            .read_exact_at(page.as_bytes_mut(), page_offset(id))?;
+        Ok(page)
     }
 
     /// Read a data page.
@@ -240,31 +323,32 @@ impl DiskFile {
 
     /// Write a page image at its position (extends the file if needed),
     /// journaling the full image to the doublewrite file first so a torn
-    /// in-place write is repairable at the next open.
+    /// in-place write is repairable at the next open: one framed
+    /// journal append, then one in-place write.
     pub fn write_page(&self, id: PageId, page: &Page) -> Result<()> {
+        let image = page.as_bytes();
+        let sum = frame_sum(id, image);
         let mut dw = self.dw.lock();
-        dw.seek(SeekFrom::End(0))?;
-        dw.write_all(&id.to_le_bytes())?;
-        dw.write_all(&fnv1a(page.as_bytes()).to_le_bytes())?;
-        dw.write_all(page.as_bytes())?;
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        file.write_all(page.as_bytes())?;
+        let Journal { file, end, frame } = &mut *dw;
+        frame[0..4].copy_from_slice(&id.to_le_bytes());
+        frame[4..8].copy_from_slice(&sum.to_le_bytes());
+        frame[8..].copy_from_slice(image);
+        file.write_all_at(&frame[..], *end)?;
+        *end += DW_FRAME as u64;
+        self.file.lock().write_all_at(image, page_offset(id))?;
         Ok(())
     }
 
-    /// Truncate the doublewrite journal — only safe when every journaled
-    /// in-place write has landed (checkpoint end, after the data fsync).
+    /// Truncate the doublewrite journal to its header — only safe when
+    /// every journaled in-place write has landed (checkpoint end, after
+    /// the data fsync).
     pub fn dw_reset(&self) -> Result<()> {
-        let mut dw = self.dw.lock();
-        dw.set_len(0)?;
-        dw.seek(SeekFrom::Start(0))?;
-        Ok(())
+        self.dw.lock().reset()
     }
 
     /// Flush the doublewrite journal to stable storage.
     pub fn sync_dw(&self) -> Result<()> {
-        self.dw.lock().sync_data()?;
+        self.dw.lock().file.sync_data()?;
         Ok(())
     }
 
@@ -276,9 +360,9 @@ impl DiskFile {
         let id = *count;
         *count += 1;
         // Materialise the page so the file length always covers page_count.
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        file.write_all(Page::new().as_bytes())?;
+        self.file
+            .lock()
+            .write_all_at(Page::new().as_bytes(), page_offset(id))?;
         Ok(id)
     }
 
@@ -405,8 +489,8 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let d = DiskFile::open(&path).unwrap();
         assert_eq!(d.read_page(1).unwrap().as_bytes(), good.as_bytes());
-        // The journal was drained by the repair.
-        assert_eq!(std::fs::metadata(dw_path(&path)).unwrap().len(), 0);
+        // The journal was drained by the repair, down to its header.
+        assert_eq!(std::fs::read(dw_path(&path)).unwrap(), DW_HEADER);
     }
 
     #[test]
@@ -423,11 +507,142 @@ mod tests {
         }
         // A torn journal append (crash before the in-place write began):
         // half a frame of garbage must not clobber the good page.
-        let mut frame = vec![1u8, 0, 0, 0, 9, 9, 9, 9];
-        frame.extend_from_slice(&vec![0xAB; PAGE_SIZE / 3]);
-        std::fs::write(dw_path(&path), &frame).unwrap();
+        let mut journal = DW_HEADER.to_vec();
+        journal.extend_from_slice(&[1u8, 0, 0, 0, 9, 9, 9, 9]);
+        journal.extend_from_slice(&vec![0xAB; PAGE_SIZE / 3]);
+        std::fs::write(dw_path(&path), &journal).unwrap();
         let d = DiskFile::open(&path).unwrap();
         assert_eq!(d.read_page(1).unwrap().as_bytes(), good.as_bytes());
+    }
+
+    /// A database whose page 1 holds `old` in place while its journal
+    /// holds one complete frame carrying `new` for page 1.
+    fn journaled_over(path: &Path, old: &Page, new: &Page) {
+        {
+            let d = DiskFile::create(path).unwrap();
+            let p1 = d.allocate_page().unwrap();
+            d.write_page(p1, old).unwrap();
+            d.dw_reset().unwrap();
+            d.write_page(p1, new).unwrap();
+        }
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[PAGE_SIZE..2 * PAGE_SIZE].copy_from_slice(old.as_bytes());
+        std::fs::write(path, &bytes).unwrap();
+        assert_eq!(
+            std::fs::metadata(dw_path(path)).unwrap().len(),
+            (DW_HEADER.len() + DW_FRAME) as u64
+        );
+    }
+
+    fn page_with(text: &[u8]) -> Page {
+        let mut page = Page::new();
+        page.insert(text).unwrap();
+        page
+    }
+
+    #[test]
+    fn a_full_length_frame_with_a_flipped_byte_is_not_replayed() {
+        let dir = TempDir::new("disk");
+        let (old, new) = (page_with(b"in place"), page_with(b"journaled"));
+        // Control: the intact frame is replayed over the old image.
+        let path = dir.file("intact");
+        journaled_over(&path, &old, &new);
+        let d = DiskFile::open(&path).unwrap();
+        assert_eq!(d.read_page(1).unwrap().as_bytes(), new.as_bytes());
+        // One flipped image byte: the frame fails its sum and is skipped.
+        let path = dir.file("flipped");
+        journaled_over(&path, &old, &new);
+        let mut journal = std::fs::read(dw_path(&path)).unwrap();
+        journal[DW_HEADER.len() + 8 + PAGE_SIZE / 2] ^= 0x10;
+        std::fs::write(dw_path(&path), &journal).unwrap();
+        let d = DiskFile::open(&path).unwrap();
+        assert_eq!(d.read_page(1).unwrap().as_bytes(), old.as_bytes());
+        assert_eq!(std::fs::read(dw_path(&path)).unwrap(), DW_HEADER);
+    }
+
+    /// Write `new` over page 1 (holding `old`) with the device dying
+    /// after `cap` more bytes, then reopen without faults.
+    fn steal_with_cap(dir: &TempDir, name: &str, cap: u64, old: &Page, new: &Page) -> DiskFile {
+        let path = dir.file(name);
+        let injector = Arc::new(FaultInjector::new());
+        {
+            let d = DiskFile::create_with(&path, Some(Arc::clone(&injector))).unwrap();
+            let p1 = d.allocate_page().unwrap();
+            d.write_page(p1, old).unwrap();
+            d.dw_reset().unwrap();
+            injector.arm_write_cap(cap);
+            assert!(d.write_page(p1, new).is_err());
+            assert_eq!(injector.injected(), 1);
+        }
+        DiskFile::open(&path).unwrap()
+    }
+
+    #[test]
+    fn a_tear_inside_the_framed_append_leaves_the_page_and_is_ignored() {
+        let dir = TempDir::new("disk");
+        let (old, new) = (page_with(b"v1"), page_with(b"v2"));
+        for cap in [0, 6, 8 + 100, DW_FRAME as u64 - 1] {
+            let d = steal_with_cap(&dir, &format!("cap{cap}"), cap, &old, &new);
+            assert_eq!(d.read_page(1).unwrap().as_bytes(), old.as_bytes());
+        }
+    }
+
+    #[test]
+    fn a_tear_inside_the_in_place_write_is_repaired_from_the_frame() {
+        let dir = TempDir::new("disk");
+        let (old, new) = (page_with(b"v1"), page_with(b"v2"));
+        let cap = (DW_FRAME + PAGE_SIZE / 2) as u64;
+        let d = steal_with_cap(&dir, "in-place", cap, &old, &new);
+        assert_eq!(d.read_page(1).unwrap().as_bytes(), new.as_bytes());
+    }
+
+    #[test]
+    fn a_headerless_journal_is_refused_and_an_empty_one_opens() {
+        let dir = TempDir::new("disk");
+        let path = dir.file("db");
+        let page = page_with(b"kept");
+        {
+            let d = DiskFile::create(&path).unwrap();
+            let p1 = d.allocate_page().unwrap();
+            d.write_page(p1, &page).unwrap();
+        }
+        // A journal from before the header: one whole `[id][sum][image]`
+        // frame at offset 0.
+        let mut old = vec![1u8, 0, 0, 0, 0, 0, 0, 0];
+        old.extend_from_slice(page.as_bytes());
+        std::fs::write(dw_path(&path), &old).unwrap();
+        match DiskFile::open(&path) {
+            Err(StorageError::UnsupportedFormat(why)) => assert!(why.contains("header"), "{why}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a header-less journal was replayed"),
+        }
+        // The refusal changed nothing: the journal is still there.
+        assert_eq!(std::fs::read(dw_path(&path)).unwrap(), old);
+        // An empty journal (or a torn header write) holds no frames.
+        for journal in [&[][..], &DW_HEADER[..3]] {
+            std::fs::write(dw_path(&path), journal).unwrap();
+            let d = DiskFile::open(&path).unwrap();
+            assert_eq!(d.read_page(1).unwrap().as_bytes(), page.as_bytes());
+            assert_eq!(std::fs::read(dw_path(&path)).unwrap(), DW_HEADER);
+        }
+    }
+
+    #[test]
+    fn frame_sum_sees_single_bit_flips_and_the_page_id() {
+        let image: Vec<u8> = (0..PAGE_SIZE as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let sum = frame_sum(7, &image);
+        assert_ne!(frame_sum(8, &image), sum);
+        // A zero-filled frame (a file extended but never written) must
+        // not pass as page 0 with sum 0.
+        assert_ne!(frame_sum(0, &[0u8; PAGE_SIZE]), 0);
+        let mut flipped = image.clone();
+        for bit in (0..PAGE_SIZE * 8).step_by(3) {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(frame_sum(7, &flipped), sum, "bit {bit}");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     #[test]

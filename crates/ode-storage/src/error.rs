@@ -32,6 +32,9 @@ pub enum StorageError {
     DependencyAborted { txn: TxnId, on: TxnId },
     /// The database file is corrupt or has an unexpected format.
     Corrupt(String),
+    /// A file was written in an on-disk layout this version does not
+    /// read (for example a doublewrite journal from before its header).
+    UnsupportedFormat(String),
     /// Decoding a stored value failed.
     Codec(String),
     /// The named root does not exist.
@@ -70,6 +73,7 @@ impl std::fmt::Display for StorageError {
                 )
             }
             StorageError::Corrupt(m) => write!(f, "database corrupt: {m}"),
+            StorageError::UnsupportedFormat(m) => write!(f, "unsupported file format: {m}"),
             StorageError::Codec(m) => write!(f, "codec error: {m}"),
             StorageError::NoSuchRoot(n) => write!(f, "no such named root: {n:?}"),
             StorageError::UserAbort(m) => write!(f, "transaction aborted by application: {m}"),

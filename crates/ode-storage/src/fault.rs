@@ -26,6 +26,7 @@ use ode_obs::Metrics;
 use parking_lot::Mutex;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -205,6 +206,19 @@ impl FaultFile {
         }
     }
 
+    /// Write all of `buf` at byte `offset` (one `pwrite`, no seek),
+    /// subject to the armed fault plan exactly like [`FaultFile::write_all`].
+    pub fn write_all_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
+        match self.injector.as_ref().map(|i| i.on_write(buf.len())) {
+            None | Some(WriteOutcome::Full) => self.file.write_all_at(buf, offset),
+            Some(WriteOutcome::Torn(n)) => {
+                self.file.write_all_at(&buf[..n], offset)?;
+                Err(dead("write killed by byte cap"))
+            }
+            Some(WriteOutcome::Dead) => Err(dead("write after device death")),
+        }
+    }
+
     /// `sync_data`, subject to the armed fault plan.
     pub fn sync_data(&self) -> std::io::Result<()> {
         if let Some(injector) = &self.injector {
@@ -218,9 +232,9 @@ impl FaultFile {
         self.file.seek(pos)
     }
 
-    /// Exact read (pass-through).
-    pub fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
-        self.file.read_exact(buf)
+    /// Exact read at byte `offset` (one `pread`, no seek; pass-through).
+    pub fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        self.file.read_exact_at(buf, offset)
     }
 
     /// Read to end (pass-through).
@@ -281,6 +295,21 @@ mod tests {
         let mut buf = Vec::new();
         f.read_to_end(&mut buf).unwrap();
         assert_eq!(buf, b"abcdef");
+    }
+
+    #[test]
+    fn positional_writes_tear_under_the_same_cap() {
+        let dir = TempDir::new("fault");
+        let injector = Arc::new(FaultInjector::new());
+        let f = scratch(&dir, Some(Arc::clone(&injector)));
+        injector.arm_write_cap(6);
+        f.write_all_at(b"abcd", 4).unwrap();
+        assert!(f.write_all_at(b"wxyz", 0).is_err()); // tears after 2 bytes
+        assert!(injector.tripped());
+        assert!(f.write_all_at(b"!", 8).is_err());
+        let mut buf = [0u8; 8];
+        f.read_exact_at(&mut buf, 0).unwrap();
+        assert_eq!(&buf, b"wx\0\0abcd");
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //!   engines ([`storage::EngineKind::Disk`] / [`storage::EngineKind::Memory`]),
 //!   shared locking/transaction/rollback run-time.
 //! * [`page`] — slotted pages; [`disk`] + [`buffer`] — the EOS-like page
-//!   file and its no-steal buffer pool; [`mem`] — the Dali-like in-memory
-//!   page store with checkpoint durability.
-//! * [`wal`] — physiological write-ahead logging with redo-only recovery.
+//!   file (positional page I/O, a doublewrite journal against torn page
+//!   writes) and its steal/no-force buffer pool; [`mem`] — the Dali-like
+//!   in-memory page store with checkpoint durability.
+//! * [`wal`] — physiological write-ahead logging with ARIES-style
+//!   recovery: repeat history from the checkpoint, then undo the losers.
+//! * [`fault`] — the fault injector the crash-recovery harness tears
+//!   writes and fails fsyncs with.
 //! * [`lock`] — strict 2PL with deadlock detection and wait statistics
 //!   (the measurement hook for the paper's "triggers turn reads into
 //!   writes" observation, §6).

@@ -100,6 +100,11 @@ impl Page {
         &self.data[..]
     }
 
+    /// Raw page image, for reading a page straight into its frame.
+    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.data[..]
+    }
+
     fn get_u16(&self, at: usize) -> u16 {
         u16::from_le_bytes([self.data[at], self.data[at + 1]])
     }

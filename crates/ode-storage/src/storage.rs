@@ -87,23 +87,6 @@ const SPACE_THRESHOLD: usize = 32;
 /// The roots directory is always the very first object allocated.
 pub const ROOTS_OID: Oid = Oid::new(1, 0);
 
-/// End of the byte range `start..start + len` of a `total`-byte record.
-fn range_end(total: usize, start: usize, len: usize) -> Result<usize> {
-    start
-        .checked_add(len)
-        .filter(|&end| end <= total)
-        .ok_or_else(|| {
-            StorageError::Codec(format!(
-                "range {start}+{len} out of bounds for a {total}-byte record"
-            ))
-        })
-}
-
-/// Bytes `start..start + len` of `data`.
-fn range_of(data: &[u8], start: usize, len: usize) -> Result<&[u8]> {
-    Ok(&data[start..range_end(data.len(), start, len)?])
-}
-
 /// Which page store backs the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
@@ -1233,7 +1216,7 @@ impl Storage {
                 let oid = Oid::from_u64(o);
                 let cluster = self.cluster_of(oid.page())?;
                 match self.resolve(oid) {
-                    Ok((_, cell)) => Ok((cluster, Some(self.cell_data(&cell, None)?))),
+                    Ok((_, cell)) => Ok((cluster, Some(self.cell_data(&cell)?))),
                     Err(StorageError::NoSuchObject(_)) => Ok((cluster, None)),
                     Err(e) => Err(e),
                 }
@@ -1901,41 +1884,29 @@ impl Storage {
         }
     }
 
-    /// The data bytes of a primary or moved cell: all of them, or only
-    /// `range` (start, len), for which only the overflow chunks covering
-    /// the range are read. A range past the record's end is a codec error.
-    fn cell_data(&self, cell: &[u8], range: Option<(usize, usize)>) -> Result<Vec<u8>> {
+    /// The data bytes of a primary or moved cell, reassembling an
+    /// overflow chain (every chunk's length is checked against the head).
+    fn cell_data(&self, cell: &[u8]) -> Result<Vec<u8>> {
         match cell.first() {
-            Some(&TAG_DATA) | Some(&TAG_MOVED_DATA) => {
-                let data = &cell[1..];
-                let (start, len) = range.unwrap_or((0, data.len()));
-                range_of(data, start, len).map(<[u8]>::to_vec)
-            }
+            Some(&TAG_DATA) | Some(&TAG_MOVED_DATA) => Ok(cell[1..].to_vec()),
             Some(&TAG_OVF_HEAD) | Some(&TAG_MOVED_OVF_HEAD) => {
                 let (total, chunks) = Self::decode_ovf_head(cell)?;
                 let mismatch = || StorageError::Corrupt("overflow chain length mismatch".into());
                 if chunks.len() != total.div_ceil(MAX_INLINE) {
                     return Err(mismatch());
                 }
-                let (start, len) = range.unwrap_or((0, total));
-                let end = range_end(total, start, len)?;
-                let mut out = Vec::with_capacity(len);
-                let mut at = start;
-                while at < end {
-                    let base = at / MAX_INLINE * MAX_INLINE;
-                    let chunk_oid = chunks[at / MAX_INLINE];
+                let mut out = Vec::with_capacity(total);
+                for (i, &chunk_oid) in chunks.iter().enumerate() {
                     let chunk = self.raw_read(chunk_oid)?;
                     if chunk.first() != Some(&TAG_OVF_CHUNK) {
                         return Err(StorageError::Corrupt(format!(
                             "expected overflow chunk at {chunk_oid}"
                         )));
                     }
-                    if chunk.len() - 1 != (total - base).min(MAX_INLINE) {
+                    if chunk.len() - 1 != (total - i * MAX_INLINE).min(MAX_INLINE) {
                         return Err(mismatch());
                     }
-                    let take = (end - base).min(MAX_INLINE);
-                    out.extend_from_slice(&chunk[1 + at - base..1 + take]);
-                    at = base + take;
+                    out.extend_from_slice(&chunk[1..]);
                 }
                 Ok(out)
             }
@@ -1973,27 +1944,7 @@ impl Storage {
         self.locks
             .lock(txn, LockKey::Object(oid.to_u64()), LockMode::Shared)?;
         let (_, cell) = self.resolve(oid)?;
-        self.cell_data(&cell, None)
-    }
-
-    /// Read bytes `start..start + len` of an object, under the same lock
-    /// and snapshot rules as [`Storage::read`]. On an overflow record only
-    /// the chunks covering the range are read, so probing one slot of a
-    /// large record costs one or two chunk reads instead of the whole
-    /// chain. A range past the record's end is a codec error.
-    pub fn read_range(&self, txn: TxnId, oid: Oid, start: usize, len: usize) -> Result<Vec<u8>> {
-        self.txns.require_active(txn)?;
-        if let Some(s) = self.txns.snapshot_of(txn) {
-            self.metrics.snapshot_reads.inc();
-            let data = self
-                .snapshot_lookup(s, oid)?
-                .ok_or(StorageError::NoSuchObject(oid))?;
-            return range_of(&data, start, len).map(<[u8]>::to_vec);
-        }
-        self.locks
-            .lock(txn, LockKey::Object(oid.to_u64()), LockMode::Shared)?;
-        let (_, cell) = self.resolve(oid)?;
-        self.cell_data(&cell, Some((start, len)))
+        self.cell_data(&cell)
     }
 
     /// Take the exclusive lock a write of `oid` would take, without
@@ -2026,7 +1977,7 @@ impl Storage {
                 SnapshotLookup::Untracked => {}
             }
             let fallback = match self.resolve(oid) {
-                Ok((_, cell)) => self.cell_data(&cell, None).map(Some),
+                Ok((_, cell)) => self.cell_data(&cell).map(Some),
                 Err(StorageError::NoSuchObject(_)) => Ok(None),
                 Err(e) => Err(e),
             };
@@ -2060,7 +2011,7 @@ impl Storage {
         // committed value — no other writer can be mid-flight on it.
         if self.txns.track_dirty(txn, oid.to_u64())? {
             self.versions
-                .seed(oid.to_u64(), cluster, txn, self.cell_data(&old_cell, None)?);
+                .seed(oid.to_u64(), cluster, txn, self.cell_data(&old_cell)?);
         }
         // Free old overflow chunks first so their space is reusable.
         self.free_secondary(txn, &old_cell)?;
@@ -2100,7 +2051,7 @@ impl Storage {
         if self.txns.track_dirty(txn, oid.to_u64())? {
             let cluster = self.cluster_of(oid.page())?;
             self.versions
-                .seed(oid.to_u64(), cluster, txn, self.cell_data(&cell, None)?);
+                .seed(oid.to_u64(), cluster, txn, self.cell_data(&cell)?);
         }
         self.free_secondary(txn, &cell)?;
         self.raw_delete(txn, phys)?;
@@ -2202,7 +2153,7 @@ impl Storage {
 
     fn read_roots(&self) -> Result<RootsRecord> {
         let (_, cell) = self.resolve(ROOTS_OID)?;
-        decode_all(&self.cell_data(&cell, None)?)
+        decode_all(&self.cell_data(&cell)?)
     }
 
     fn write_roots(&self, txn: TxnId, record: &RootsRecord) -> Result<()> {
@@ -2487,52 +2438,6 @@ mod tests {
         assert_eq!(s.read(t, oid).unwrap(), b"tiny");
         s.free(t, oid).unwrap();
         s.commit(t).unwrap();
-    }
-
-    #[test]
-    fn read_range_matches_read_inline_overflow_and_snapshot() {
-        let s = Storage::volatile();
-        let t = s.begin().unwrap();
-        let c = s.create_cluster(t).unwrap();
-        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        let large = s.allocate(t, c, &big).unwrap();
-        let small = s.allocate(t, c, b"0123456789").unwrap();
-        s.commit(t).unwrap();
-
-        let t = s.begin().unwrap();
-        let grants = s.lock_stats().immediate_grants;
-        // Inside one chunk, across a chunk boundary, the last byte, empty.
-        for (start, len) in [
-            (0, 6),
-            (MAX_INLINE - 3, 10),
-            (MAX_INLINE, 2 * MAX_INLINE + 5),
-            (19_999, 1),
-            (7, 0),
-        ] {
-            let got = s.read_range(t, large, start, len).unwrap();
-            assert_eq!(got, &big[start..start + len], "{start}+{len}");
-        }
-        assert_eq!(s.read_range(t, small, 3, 4).unwrap(), b"3456");
-        assert!(matches!(
-            s.read_range(t, small, 8, 3),
-            Err(StorageError::Codec(_))
-        ));
-        assert!(matches!(
-            s.read_range(t, large, 19_999, 2),
-            Err(StorageError::Codec(_))
-        ));
-        // One shared lock per object, exactly as `read` takes.
-        assert_eq!(s.lock_stats().immediate_grants, grants + 2);
-        s.commit(t).unwrap();
-
-        // A snapshot reader sees the committed bytes while a writer has
-        // the record half-rewritten, and takes no locks.
-        let w = s.begin().unwrap();
-        s.update(w, small, b"abcdefghij").unwrap();
-        let r = s.begin_read_only().unwrap();
-        assert_eq!(s.read_range(r, small, 3, 4).unwrap(), b"3456");
-        s.commit(r).unwrap();
-        s.commit(w).unwrap();
     }
 
     #[test]
