@@ -4,9 +4,11 @@
 //! The tentpole harness runs a trigger-heavy `CredCard` workload against
 //! a disk database whose WAL and data files are wrapped in a
 //! [`FaultInjector`], kills the "device" at a randomized byte offset (a
-//! torn write, after which all I/O fails), reopens the directory with a
-//! fresh un-injected engine, and asserts the recovered database equals
-//! the state after the last *acknowledged* commit — object payloads,
+//! torn write, after which all I/O fails), crashes a second time inside
+//! the reopen's own recovery (a fresh device dying at a seeded byte
+//! offset), reopens the directory with a fresh un-injected engine, and
+//! asserts the recovered database equals the state after the last
+//! *acknowledged* commit — object payloads,
 //! persistent trigger-FSM statenums, each card's active-trigger set (the
 //! trigger refs in its header, churned by activation steps) and their
 //! agreement with the state records (via `verify_integrity`) all
@@ -38,6 +40,11 @@ use std::sync::Arc;
 const CARDS: usize = 3;
 const STEPS: usize = 20;
 const CRASH_POINTS: usize = 64;
+/// Range of the byte cap for the second crash, inside `Database::open`.
+/// Recovering this workload writes about 41 KB (five pages through the
+/// doublewrite journal, the rollback records, the log reset), so a cap
+/// drawn below this dies inside recovery.
+const REOPEN_CAP_SPAN: u64 = 40 * 1024;
 
 /// Deterministic 64-bit LCG (Knuth's MMIX constants) so the harness
 /// needs no external rand crate and every failure reproduces from
@@ -234,8 +241,10 @@ fn rehearse(seed: u64, fsync: bool) -> u64 {
 }
 
 /// One crash point: run the workload with the device set to die after
-/// `budget` more bytes, crash, recover, and check the committed prefix.
-fn run_crash_point(seed: u64, point: usize, budget: u64, fsync: bool) {
+/// `budget` more bytes, crash, crash again after `reopen_cap` bytes of
+/// the reopen's recovery, recover, and check the committed prefix.
+/// Returns whether the second crash landed inside `Database::open`.
+fn run_crash_point(seed: u64, point: usize, budget: u64, reopen_cap: u64, fsync: bool) -> bool {
     let dir = TempDir::new("crash-point");
     let injector = Arc::new(FaultInjector::new());
     let (db, cards, trigs) = setup(&dir, fsync, Some(Arc::clone(&injector)));
@@ -311,6 +320,17 @@ fn run_crash_point(seed: u64, point: usize, budget: u64, fsync: bool) {
     std::mem::forget(db);
     injector.disarm();
 
+    // Crash again, inside recovery: a fresh device dies after
+    // `reopen_cap` of the bytes `Database::open` writes (the losers'
+    // rollback, the checkpoint's page flushes, the log reset), and the
+    // half-recovered engine vanishes. Pages recovery repaired may now be
+    // on disk with the log not yet reset.
+    let reopen = Arc::new(FaultInjector::new());
+    reopen.arm_write_cap(reopen_cap);
+    if let Ok(db) = Database::open(dir.path(), disk_options(fsync, Some(Arc::clone(&reopen)))) {
+        std::mem::forget(db);
+    }
+
     // Recover on pristine hardware.
     let db = Database::open(dir.path(), disk_options(fsync, None)).unwrap();
     cred_card_class(&db);
@@ -342,6 +362,7 @@ fn run_crash_point(seed: u64, point: usize, budget: u64, fsync: bool) {
     })
     .unwrap();
     db.close().unwrap();
+    reopen.tripped()
 }
 
 /// The tentpole acceptance test: ≥64 randomized crash points over a
@@ -356,10 +377,22 @@ fn randomized_crash_points_recover_to_a_committed_prefix() {
     let span = rehearse(seed, fsync);
     assert!(span > 0, "workload must append WAL bytes");
     let mut rng = Lcg::new(seed ^ 0xC0FF_EE00);
+    // A stream of its own, so the first crash points stay those of the
+    // seed.
+    let mut reopen_rng = Lcg::new(seed ^ 0x0DE0_0DE0);
+    let mut inside_recovery = 0;
     for point in 0..CRASH_POINTS {
         let budget = rng.below(span + 64);
-        run_crash_point(seed, point, budget, fsync);
+        let reopen_cap = reopen_rng.below(REOPEN_CAP_SPAN);
+        if run_crash_point(seed, point, budget, reopen_cap, fsync) {
+            inside_recovery += 1;
+        }
     }
+    // Guards `REOPEN_CAP_SPAN` against drifting past what recovery writes.
+    assert!(
+        inside_recovery >= CRASH_POINTS / 2,
+        "only {inside_recovery} of {CRASH_POINTS} second crashes landed inside recovery"
+    );
 }
 
 /// A `dependent`-coupled firing runs in its own system transaction

@@ -164,16 +164,24 @@ pub struct DiskFile {
     /// in-place write so a checkpoint's journal truncation can never race
     /// between the two halves of a steal's write-back.
     dw: Mutex<Journal>,
+    /// Whether each journal frame is synced before its in-place write.
+    fsync: bool,
 }
 
 impl DiskFile {
     /// Create a brand-new database file (fails if it exists with content).
     pub fn create(path: &Path) -> Result<DiskFile> {
-        DiskFile::create_with(path, None)
+        DiskFile::create_with(path, false, None)
     }
 
     /// Create, routing writes/fsyncs through an optional fault injector.
-    pub fn create_with(path: &Path, injector: Option<Arc<FaultInjector>>) -> Result<DiskFile> {
+    /// With `fsync`, every page write syncs its doublewrite frame before
+    /// writing in place.
+    pub fn create_with(
+        path: &Path,
+        fsync: bool,
+        injector: Option<Arc<FaultInjector>>,
+    ) -> Result<DiskFile> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -191,6 +199,7 @@ impl DiskFile {
             file: Mutex::new(FaultFile::new(file, injector)),
             page_count: Mutex::new(1),
             dw: Mutex::new(journal),
+            fsync,
         };
         disk.write_header(DbHeader {
             page_count: 1,
@@ -202,15 +211,20 @@ impl DiskFile {
 
     /// Open an existing database file.
     pub fn open(path: &Path) -> Result<DiskFile> {
-        DiskFile::open_with(path, None)
+        DiskFile::open_with(path, false, None)
     }
 
-    /// Open, routing writes/fsyncs through an optional fault injector.
+    /// Open, routing writes/fsyncs through an optional fault injector
+    /// (`fsync` as for [`DiskFile::create_with`]).
     /// Repairs torn in-place page writes from the doublewrite journal and
     /// truncates a torn tail page (a crash mid-extension) before any
     /// validation. A non-empty journal without the current header is
     /// refused with [`StorageError::UnsupportedFormat`].
-    pub fn open_with(path: &Path, injector: Option<Arc<FaultInjector>>) -> Result<DiskFile> {
+    pub fn open_with(
+        path: &Path,
+        fsync: bool,
+        injector: Option<Arc<FaultInjector>>,
+    ) -> Result<DiskFile> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut file = FaultFile::new(file, injector.clone());
         let dw = OpenOptions::new()
@@ -264,6 +278,7 @@ impl DiskFile {
             file: Mutex::new(file),
             page_count: Mutex::new(0),
             dw: Mutex::new(journal),
+            fsync,
         };
         let header = disk.read_header_raw()?;
         let physical = (whole / PAGE_SIZE as u64) as u32;
@@ -324,7 +339,9 @@ impl DiskFile {
     /// Write a page image at its position (extends the file if needed),
     /// journaling the full image to the doublewrite file first so a torn
     /// in-place write is repairable at the next open: one framed
-    /// journal append, then one in-place write.
+    /// journal append, then one in-place write. With `fsync` the frame is
+    /// synced between the two, so no power loss can tear the page before
+    /// its repair image is durable.
     pub fn write_page(&self, id: PageId, page: &Page) -> Result<()> {
         let image = page.as_bytes();
         let sum = frame_sum(id, image);
@@ -335,6 +352,9 @@ impl DiskFile {
         frame[8..].copy_from_slice(image);
         file.write_all_at(&frame[..], *end)?;
         *end += DW_FRAME as u64;
+        if self.fsync {
+            file.sync_data()?;
+        }
         self.file.lock().write_all_at(image, page_offset(id))?;
         Ok(())
     }
@@ -566,7 +586,7 @@ mod tests {
         let path = dir.file(name);
         let injector = Arc::new(FaultInjector::new());
         {
-            let d = DiskFile::create_with(&path, Some(Arc::clone(&injector))).unwrap();
+            let d = DiskFile::create_with(&path, false, Some(Arc::clone(&injector))).unwrap();
             let p1 = d.allocate_page().unwrap();
             d.write_page(p1, old).unwrap();
             d.dw_reset().unwrap();
@@ -594,6 +614,24 @@ mod tests {
         let cap = (DW_FRAME + PAGE_SIZE / 2) as u64;
         let d = steal_with_cap(&dir, "in-place", cap, &old, &new);
         assert_eq!(d.read_page(1).unwrap().as_bytes(), new.as_bytes());
+    }
+
+    #[test]
+    fn with_fsync_a_frame_that_fails_to_sync_stops_the_write_in_place() {
+        let dir = TempDir::new("disk");
+        let path = dir.file("db");
+        let (old, new) = (page_with(b"v1"), page_with(b"v2"));
+        let injector = Arc::new(FaultInjector::new());
+        {
+            let d = DiskFile::create_with(&path, true, Some(Arc::clone(&injector))).unwrap();
+            let p1 = d.allocate_page().unwrap();
+            d.write_page(p1, &old).unwrap();
+            injector.arm_fail_fsync();
+            assert!(d.write_page(p1, &new).is_err());
+            assert_eq!(injector.injected(), 1);
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[PAGE_SIZE..2 * PAGE_SIZE], old.as_bytes());
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!
 //! After the first injected fault the injector is *tripped*: all further
 //! writes and fsyncs fail, modelling a machine that is simply gone. The
-//! crash-recovery harness then reopens the directory with a fresh,
-//! uninjected [`Storage`](crate::storage::Storage) and asserts the
-//! recovered state is a committed prefix.
+//! crash-recovery harness then reopens the directory under a second
+//! injector that dies inside recovery itself, reopens once more with a
+//! fresh, uninjected [`Storage`](crate::storage::Storage), and asserts
+//! the recovered state is a committed prefix.
 //!
 //! Every injected fault ticks the engine-wide `faults_injected` counter
 //! (when a registry has been attached) plus a local count readable via

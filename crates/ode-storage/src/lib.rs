@@ -14,7 +14,8 @@
 //!   writes) and its steal/no-force buffer pool; [`mem`] — the Dali-like
 //!   in-memory page store with checkpoint durability.
 //! * [`wal`] — physiological write-ahead logging with ARIES-style
-//!   recovery: repeat history from the checkpoint, then undo the losers.
+//!   recovery: repeat history from the checkpoint, then abort the losers
+//!   through the same logged rollback a live abort uses.
 //! * [`fault`] — the fault injector the crash-recovery harness tears
 //!   writes and fails fsyncs with.
 //! * [`lock`] — strict 2PL with deadlock detection and wait statistics

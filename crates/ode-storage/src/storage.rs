@@ -16,11 +16,16 @@
 //! * Rollback via in-memory undo (each step also logged, compensation
 //!   style); durability via the WAL with repeat-history recovery — redo
 //!   in log order from the last complete checkpoint, gated on each page's
-//!   LSN so stolen pages never double-apply, then roll back in-flight
-//!   losers from before-images. The buffer pool steals dirty frames under
-//!   the WAL-before-data rule, and fuzzy incremental checkpoints (dirty-
-//!   page table + active-transaction table in the log) truncate the WAL
-//!   behind `min(rec_lsn)` without quiescing writers.
+//!   LSN so stolen pages never double-apply, then rollback of the
+//!   in-flight losers: `apply_undo` of the undo steps redo rebuilt from
+//!   the log, all losers' together in reverse log order, each under its
+//!   own loser's id, and [`Storage::abort`] of each. Recovery therefore
+//!   rolls back with the same logged, LSN-stamped steps as a live abort,
+//!   so a crash inside recovery is repaired by the next one. The buffer
+//!   pool steals dirty
+//!   frames under the WAL-before-data rule, and fuzzy incremental
+//!   checkpoints (dirty-page table + active-transaction table in the log)
+//!   truncate the WAL behind `min(rec_lsn)` without quiescing writers.
 //! * Named roots and a persistent cluster counter for bootstrapping.
 //! * Commit dependencies and system transactions for trigger coupling
 //!   modes (§5.5).
@@ -412,7 +417,11 @@ impl Storage {
         std::fs::create_dir_all(dir)?;
         let store = match options.engine {
             EngineKind::Disk => {
-                let disk = DiskFile::create_with(&dir.join("data.odb"), options.fault.clone())?;
+                let disk = DiskFile::create_with(
+                    &dir.join("data.odb"),
+                    options.fsync,
+                    options.fault.clone(),
+                )?;
                 Store::Disk(Arc::new(BufferPool::with_shards(
                     disk,
                     options.buffer_pages,
@@ -430,12 +439,41 @@ impl Storage {
         Ok(storage)
     }
 
-    /// Open an existing database in `dir`, running recovery if the last
-    /// shutdown was not clean.
+    /// Open an existing database in `dir`. Recovery always runs — redo of
+    /// the log, then rollback of every transaction in flight at the last
+    /// shutdown (none after a clean close, whose checkpoint empties the
+    /// log) — and a quiesced checkpoint then makes its work durable and
+    /// resets the log.
     pub fn open(dir: &Path, options: StorageOptions) -> Result<Storage> {
+        let storage = Storage::recover(dir, options)?;
+        storage.checkpoint()?;
+        storage.start_checkpointer();
+        Ok(storage)
+    }
+
+    /// Assemble the store in `dir` and recover it: repeat history, then
+    /// roll the losers back. The rollback is logged, so until
+    /// [`Storage::open`]'s checkpoint resets the log a crash leaves a log
+    /// the next recovery repeats exactly.
+    fn recover(dir: &Path, options: StorageOptions) -> Result<Storage> {
+        let (storage, loser_undo) = Storage::redo(dir, options)?;
+        storage.roll_back_losers(loser_undo)?;
+        Ok(storage)
+    }
+
+    /// Recovery up to the rollback: assemble the store, repeat history,
+    /// rebuild the allocation directory (the rollback allocates and notes
+    /// freed space like any transaction) and adopt every loser into the
+    /// transaction table under its own id. Returns the losers' undo steps
+    /// in log order.
+    fn redo(dir: &Path, options: StorageOptions) -> Result<(Storage, Vec<(TxnId, UndoOp)>)> {
         let store = match options.engine {
             EngineKind::Disk => {
-                let disk = DiskFile::open(&dir.join("data.odb"))?;
+                let disk = DiskFile::open_with(
+                    &dir.join("data.odb"),
+                    options.fsync,
+                    options.fault.clone(),
+                )?;
                 Store::Disk(Arc::new(BufferPool::with_shards(
                     disk,
                     options.buffer_pages,
@@ -455,11 +493,34 @@ impl Storage {
         let records = Wal::read_all(&wal_path)?;
         let wal = Wal::open_with(&wal_path, options.fsync, options.fault.clone())?;
         let storage = Storage::assemble(store, Some(wal), options, Some(dir.to_path_buf()));
-        storage.replay(&records)?;
+        let loser_undo = storage.replay(&records)?;
         storage.rebuild_alloc()?;
-        storage.checkpoint()?;
-        storage.start_checkpointer();
-        Ok(storage)
+        for &(txn, _) in &loser_undo {
+            storage.txns.adopt(txn);
+        }
+        Ok((storage, loser_undo))
+    }
+
+    /// Roll back every loser: their undo steps all together, newest
+    /// first, then [`Storage::abort`] of each, left only to log its Abort
+    /// record and finish it. Interleaved losers must unwind in
+    /// reverse log order, not one whole transaction after another: space
+    /// one loser's shrink freed and a later loser's insert claimed is
+    /// handed back before the shrink is undone. A secondary cell (an
+    /// already-moved target, an overflow chunk) cannot relocate, so undone
+    /// out of that order its restore could fail for good.
+    fn roll_back_losers(&self, loser_undo: Vec<(TxnId, UndoOp)>) -> Result<()> {
+        let losers: BTreeSet<TxnId> = loser_undo.iter().map(|&(txn, _)| txn).collect();
+        for (txn, op) in loser_undo.into_iter().rev() {
+            self.apply_undo(txn, op)?;
+        }
+        for txn in losers {
+            // A relocation above queued undo for its own steps; the
+            // rollback they belong to is already complete.
+            self.txns.take_undo(txn);
+            self.abort(txn)?;
+        }
+        Ok(())
     }
 
     /// A fully volatile main-memory database: no files, no WAL, rollback
@@ -621,7 +682,8 @@ impl Storage {
         self.commit(txn)
     }
 
-    /// Recovery: repeat history, then roll back the losers (ARIES-style).
+    /// Recovery's redo pass: repeat history (ARIES-style) and collect the
+    /// losers' undo.
     ///
     /// Every logged cell operation is reapplied in log order regardless of
     /// its transaction's fate — the log includes abort-time rollback steps
@@ -631,8 +693,11 @@ impl Storage {
     /// a cell an abort relocated, or an insert into space an uncommitted
     /// shrink freed) replay against exactly the layout they saw live.
     /// Transactions still in flight at the crash (neither Commit nor Abort
-    /// in the log) are then rolled back from the records' before-images,
-    /// newest first.
+    /// in the log) are losers: the undo steps of all their records come
+    /// back in log order, each with its transaction, for
+    /// [`Storage::roll_back_losers`]. A loser whose rollback a crash
+    /// interrupted has its compensation records in the list too, so it is
+    /// undone along with the work it compensated.
     ///
     /// Two refinements over blind reapply, both required once the buffer
     /// pool steals dirty pages and checkpoints are fuzzy:
@@ -647,7 +712,7 @@ impl Storage {
     ///   newer stamp, and re-applying would double-insert or double-delete.
     ///   Loser undo is collected from the record either way — the effect
     ///   is in the page whether redo or the steal put it there.
-    fn replay(&self, records: &[(u64, LogRecord)]) -> Result<()> {
+    fn replay(&self, records: &[(u64, LogRecord)]) -> Result<Vec<(TxnId, UndoOp)>> {
         use std::collections::HashSet;
         let resolved: HashSet<u64> = records
             .iter()
@@ -678,15 +743,13 @@ impl Storage {
                 break;
             }
         }
-        // Phase 1: repeat history. Collect undo work for in-flight losers.
-        let mut loser_undo: Vec<UndoOp> = Vec::new();
+        let mut loser_undo = Vec::new();
         for (end, record) in records {
-            if *end <= redo_start {
+            let end = *end;
+            if end <= redo_start {
                 continue;
             }
-            let end = *end;
-            let loser = !resolved.contains(&record.txn());
-            match record {
+            let undo = match record {
                 LogRecord::PageAlloc { page, cluster, .. } => {
                     self.store.ensure_pages(page + 1)?;
                     self.store.with_page_mut(*page, |p| {
@@ -695,6 +758,7 @@ impl Storage {
                             p.set_lsn(end);
                         }
                     })?;
+                    None
                 }
                 LogRecord::CellInsert {
                     page, slot, data, ..
@@ -710,12 +774,10 @@ impl Storage {
                         .map_err(|e| {
                             StorageError::Corrupt(format!("replay insert failed: {e:?}"))
                         })?;
-                    if loser {
-                        loser_undo.push(UndoOp::UndoInsert {
-                            page: *page,
-                            slot: *slot,
-                        });
-                    }
+                    Some(UndoOp::UndoInsert {
+                        page: *page,
+                        slot: *slot,
+                    })
                 }
                 LogRecord::CellUpdate {
                     page,
@@ -734,13 +796,11 @@ impl Storage {
                         .map_err(|e| {
                             StorageError::Corrupt(format!("replay update failed: {e:?}"))
                         })?;
-                    if loser {
-                        loser_undo.push(UndoOp::UndoUpdate {
-                            page: *page,
-                            slot: *slot,
-                            before: before.clone(),
-                        });
-                    }
+                    Some(UndoOp::UndoUpdate {
+                        page: *page,
+                        slot: *slot,
+                        before: before.clone(),
+                    })
                 }
                 LogRecord::CellDelete {
                     page, slot, before, ..
@@ -755,138 +815,25 @@ impl Storage {
                         .map_err(|e| {
                             StorageError::Corrupt(format!("replay delete failed: {e:?}"))
                         })?;
-                    if loser {
-                        loser_undo.push(UndoOp::UndoDelete {
-                            page: *page,
-                            slot: *slot,
-                            before: before.clone(),
-                        });
-                    }
+                    Some(UndoOp::UndoDelete {
+                        page: *page,
+                        slot: *slot,
+                        before: before.clone(),
+                    })
                 }
                 LogRecord::Begin { .. }
                 | LogRecord::Commit { .. }
                 | LogRecord::Abort { .. }
                 | LogRecord::BeginCheckpoint
-                | LogRecord::EndCheckpoint { .. } => {}
-            }
-        }
-        // Phase 2: roll back the losers in reverse global log order, so
-        // interleaved losers unwind their shared-page space interactions
-        // in the opposite order they were applied.
-        for op in loser_undo.into_iter().rev() {
-            match op {
-                UndoOp::UndoInsert { page, slot } => {
-                    self.store
-                        .with_page_mut(page, |p| p.delete(slot))?
-                        .map_err(|e| {
-                            StorageError::Corrupt(format!("recovery undo insert failed: {e:?}"))
-                        })?;
-                }
-                UndoOp::UndoUpdate { page, slot, before } => {
-                    match self
-                        .store
-                        .with_page_mut(page, |p| p.update(slot, &before))?
-                    {
-                        Ok(()) => {}
-                        Err(PageOpError::Full) => {
-                            self.replay_relocate(Oid::new(page, slot), &before, true)?;
-                        }
-                        Err(e) => {
-                            return Err(StorageError::Corrupt(format!(
-                                "recovery undo update failed: {e:?}"
-                            )));
-                        }
-                    }
-                }
-                UndoOp::UndoDelete { page, slot, before } => {
-                    match self
-                        .store
-                        .with_page_mut(page, |p| p.insert_at(slot, &before))?
-                    {
-                        Ok(()) => {}
-                        Err(PageOpError::Full) => {
-                            self.replay_relocate(Oid::new(page, slot), &before, false)?;
-                        }
-                        Err(e) => {
-                            return Err(StorageError::Corrupt(format!(
-                                "recovery undo delete failed: {e:?}"
-                            )));
-                        }
-                    }
+                | LogRecord::EndCheckpoint { .. } => None,
+            };
+            if let Some(op) = undo {
+                if !resolved.contains(&record.txn()) {
+                    loser_undo.push((TxnId(record.txn()), op));
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Recovery-time analogue of [`Storage::undo_restore_moved`]: rolling
-    /// back an in-flight loser can find its before-image no longer fits in
-    /// place, because a *committed* transaction claimed the bytes the
-    /// loser's uncommitted shrink or delete had freed. The image moves to
-    /// another page of the same cluster behind a forward stub, keeping the
-    /// object's Oid and committed value intact. Runs before
-    /// `rebuild_alloc`, so target pages are found by direct scan; nothing
-    /// is logged — `open` checkpoints immediately after replay.
-    fn replay_relocate(&self, oid: Oid, before: &[u8], occupied: bool) -> Result<()> {
-        let mut relocated = before.to_vec();
-        match before.first() {
-            Some(&TAG_DATA) => relocated[0] = TAG_MOVED_DATA,
-            Some(&TAG_OVF_HEAD) => relocated[0] = TAG_MOVED_OVF_HEAD,
-            tag => {
-                return Err(StorageError::Corrupt(format!(
-                    "recovery cannot relocate cell with tag {tag:?} at {oid}"
-                )));
-            }
-        }
-        let cluster = self.cluster_of(oid.page())?;
-        let mut target_page = None;
-        for id in 1..self.store.page_count() {
-            if id == oid.page() {
-                continue;
-            }
-            let fits = self.store.with_page(id, |p| {
-                p.cluster() == cluster && p.can_insert(relocated.len())
-            })?;
-            if fits {
-                target_page = Some(id);
-                break;
-            }
-        }
-        let target_page = match target_page {
-            Some(p) => p,
-            None => {
-                let p = self.store.allocate_page()?;
-                self.store.with_page_mut(p, |pg| pg.set_cluster(cluster))?;
-                p
-            }
-        };
-        let slot = self
-            .store
-            .with_page_mut(target_page, |p| p.insert(&relocated))?
-            .map_err(|e| {
-                StorageError::Corrupt(format!("recovery relocation insert failed: {e:?}"))
-            })?;
-        let target = Oid::new(target_page, slot);
-        let mut stub = Vec::with_capacity(7);
-        stub.push(TAG_FORWARD);
-        stub.extend_from_slice(&encode_to_vec(&target));
-        self.store
-            .with_page_mut(oid.page(), |p| {
-                if occupied {
-                    match p.update(oid.slot(), &stub) {
-                        // The slot's current cell is too small to grow into
-                        // a stub on a full page: free it first.
-                        Err(PageOpError::Full) => {
-                            p.delete(oid.slot()).ok();
-                            p.insert_at(oid.slot(), &stub)
-                        }
-                        r => r,
-                    }
-                } else {
-                    p.insert_at(oid.slot(), &stub)
-                }
-            })?
-            .map_err(|e| StorageError::Corrupt(format!("recovery stub at {oid} failed: {e:?}")))
+        Ok(loser_undo)
     }
 
     /// Rebuild the allocation directory by scanning page tags.
@@ -1260,19 +1207,7 @@ impl Storage {
                 .fetch_add(1, Ordering::Relaxed)
                 + 1;
             if self.options.checkpoint_every > 0 && n >= self.options.checkpoint_every {
-                match &self.store {
-                    // Disk: fuzzy — runs under load, truncates the log
-                    // incrementally, never stalls concurrent committers.
-                    Store::Disk(_) if self.wal.is_some() => {
-                        self.checkpoint_fuzzy()?;
-                    }
-                    // Memory: the full-image checkpoint needs quiescence;
-                    // stay opportunistic (busy commits just skip it).
-                    _ => match self.checkpoint() {
-                        Ok(()) | Err(StorageError::NotQuiesced(_)) => {}
-                        Err(e) => return Err(e),
-                    },
-                }
+                self.checkpoint_fuzzy()?;
             }
         }
         Ok(())
@@ -1416,7 +1351,9 @@ impl Storage {
     /// Undo fallback for when the before-image no longer fits at its
     /// original location: pages are shared between transactions, so the
     /// space an update or delete freed may have been claimed by a
-    /// concurrent insert before this transaction aborted. The image is
+    /// concurrent insert before this transaction aborted (or, for a loser
+    /// rolled back at recovery, by a transaction that committed before
+    /// the crash). The image is
     /// placed on another page of the same cluster and a forward stub left
     /// at the original slot — the same relocation a growing update uses —
     /// keeping the object's Oid and committed value intact.
@@ -2628,6 +2565,109 @@ mod tests {
         s.update(t, a, b"writable").unwrap();
         assert_eq!(s.read(t, a).unwrap(), b"writable");
         s.commit(t).unwrap();
+    }
+
+    #[test]
+    fn interleaved_losers_unwind_in_reverse_log_order() {
+        // Two losers share a page: the first shrinks an already-moved
+        // record in place, the second inserts into the bytes that freed.
+        // A moved target cannot relocate, so rolling the first loser back
+        // before the second would find no room and fail every open;
+        // undone newest first, the insert hands the space back in time.
+        for options in [StorageOptions::default(), StorageOptions::memory()] {
+            let dir = TempDir::new("store");
+            let big = vec![3u8; 3000];
+            let (a, b);
+            {
+                let s = Storage::create(dir.path(), options.clone()).unwrap();
+                let t = s.begin().unwrap();
+                let c = s.create_cluster(t).unwrap();
+                a = s.allocate(t, c, b"a").unwrap();
+                s.allocate(t, c, &vec![1u8; 3500]).unwrap();
+                s.update(t, a, &big).unwrap();
+                s.commit(t).unwrap();
+                let (target, _) = s.resolve(a).unwrap();
+                assert_ne!(target, a, "the grown record moved");
+                let t1 = s.begin().unwrap();
+                s.update(t1, a, b"tiny").unwrap();
+                let t2 = s.begin().unwrap();
+                b = s.allocate(t2, c, &vec![4u8; 2500]).unwrap();
+                assert_eq!(b.page(), target.page(), "the insert took the freed bytes");
+                s.wal.as_ref().unwrap().flush().unwrap();
+                std::mem::forget(s); // crash with t1 and t2 in flight
+            }
+            let s = Storage::open(dir.path(), options.clone()).unwrap();
+            let t = s.begin().unwrap();
+            assert_eq!(s.read(t, a).unwrap(), big);
+            assert!(matches!(s.read(t, b), Err(StorageError::NoSuchObject(_))));
+            s.update(t, a, b"writable").unwrap();
+            assert_eq!(s.read(t, a).unwrap(), b"writable");
+            s.commit(t).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_crash_inside_recovery_after_its_repairs_reach_disk_recovers() {
+        // Pages recovery repaired may reach disk before `open`'s
+        // checkpoint resets the log. The next open must then find the
+        // loser resolved in the log, not undo it a second time: the
+        // repaired pages' LSNs stop redo from re-inserting its cell, so a
+        // second undo finds the slot empty. Cut short, the rollback has
+        // made only its first step durable, with no Abort record: the
+        // loser comes back with that compensation record in its undo
+        // list, which must be undone before the work it compensated. Both
+        // engines: the memory engine's repaired pages reach disk in its
+        // checkpoint image.
+        let engines = [StorageOptions::default(), StorageOptions::memory()];
+        for (options, cut_short) in engines
+            .iter()
+            .flat_map(|o| [(o.clone(), false), (o.clone(), true)])
+        {
+            let dir = TempDir::new("store");
+            let (winner, loser);
+            {
+                let s = Storage::create(dir.path(), options.clone()).unwrap();
+                let t = s.begin().unwrap();
+                let c = s.create_cluster(t).unwrap();
+                winner = s.allocate(t, c, b"winner").unwrap();
+                s.commit(t).unwrap();
+                let t1 = s.begin().unwrap();
+                loser = s.allocate(t1, c, b"loser").unwrap();
+                s.update(t1, winner, b"uncommitted").unwrap();
+                s.wal.as_ref().unwrap().flush().unwrap();
+                std::mem::forget(s); // crash with t1 in flight
+            }
+            {
+                // `open` up to its checkpoint (or only the rollback's
+                // first step), whose first steps then put the repaired
+                // pages on disk before a crash stops it short of the log
+                // reset.
+                let s = if cut_short {
+                    let (s, mut loser_undo) = Storage::redo(dir.path(), options.clone()).unwrap();
+                    let (txn, op) = loser_undo.pop().unwrap();
+                    s.apply_undo(txn, op).unwrap();
+                    s
+                } else {
+                    Storage::recover(dir.path(), options.clone()).unwrap()
+                };
+                s.wal.as_ref().unwrap().flush().unwrap();
+                match &s.store {
+                    Store::Disk(pool) => {
+                        pool.flush_all().unwrap();
+                    }
+                    Store::Mem(mem) => mem.checkpoint_to(&dir.path().join("mem.ckpt")).unwrap(),
+                }
+                std::mem::forget(s);
+            }
+            let s = Storage::open(dir.path(), options.clone()).unwrap();
+            let t = s.begin().unwrap();
+            assert_eq!(s.read(t, winner).unwrap(), b"winner");
+            assert!(matches!(
+                s.read(t, loser),
+                Err(StorageError::NoSuchObject(_))
+            ));
+            s.commit(t).unwrap();
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! *written* to the log as an ordinary cell record (compensation-log
 //! style), so crash recovery can repeat history through aborts — a
 //! committed transaction's operations may physically depend on page
-//! layout an abort produced (e.g. a relocated cell).
+//! layout an abort produced (e.g. a relocated cell). Recovery rolls back
+//! a transaction in flight at a crash the same way, after
+//! `TxnManager::adopt` re-enters it under its logged id.
 //!
 //! The transaction table is striped by transaction id: every storage
 //! operation consults it (`require_active`, `push_undo`, ...), so a single
@@ -120,6 +122,23 @@ struct TxnRecord {
     read_barrier: Option<u64>,
 }
 
+impl TxnRecord {
+    fn new(system: bool) -> TxnRecord {
+        TxnRecord {
+            system,
+            undo: Vec::new(),
+            pending_deletes: Vec::new(),
+            depends_on: Vec::new(),
+            logged: false,
+            first_lsn: None,
+            commit_lsn: None,
+            dirty: HashSet::new(),
+            snapshot: None,
+            read_barrier: None,
+        }
+    }
+}
+
 #[derive(Default)]
 struct StripeTable {
     /// Active transactions; a record is removed when it finishes.
@@ -205,22 +224,23 @@ impl TxnManager {
     /// Start a transaction. `system` marks trigger-processing transactions.
     pub fn begin(&self, system: bool) -> TxnId {
         let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        self.lock_stripe(id).live.insert(
-            id,
-            TxnRecord {
-                system,
-                undo: Vec::new(),
-                pending_deletes: Vec::new(),
-                depends_on: Vec::new(),
-                logged: false,
-                first_lsn: None,
-                commit_lsn: None,
-                dirty: HashSet::new(),
-                snapshot: None,
-                read_barrier: None,
-            },
-        );
+        self.lock_stripe(id).live.insert(id, TxnRecord::new(system));
         id
+    }
+
+    /// Take over a transaction recovery found in flight at a crash, under
+    /// the id it logged with, so its rollback is logged under that id and
+    /// it can be aborted like a live one. It counts as already logged (no
+    /// second Begin record), from LSN 0 as its first-LSN bound. Adopting
+    /// an id twice is a no-op; later [`TxnManager::begin`]s never reissue
+    /// it.
+    pub(crate) fn adopt(&self, txn: TxnId) {
+        self.next.fetch_max(txn.0 + 1, Ordering::Relaxed);
+        self.lock_stripe(txn).live.entry(txn).or_insert(TxnRecord {
+            logged: true,
+            first_lsn: Some(0),
+            ..TxnRecord::new(false)
+        });
     }
 
     /// Current state, if the transaction is known (its id was issued).
@@ -625,6 +645,20 @@ mod tests {
         tm.set_snapshot(t, 5, Some(99));
         assert_eq!(tm.snapshot_of(t), Some(5));
         assert_eq!(tm.read_barrier_of(t), Some(99));
+    }
+
+    #[test]
+    fn adopt_keeps_the_logged_id_and_raises_the_counter() {
+        let tm = TxnManager::default();
+        tm.adopt(TxnId(40));
+        let undo = UndoOp::UndoInsert { page: 3, slot: 1 };
+        tm.push_undo(TxnId(40), undo.clone()).unwrap();
+        tm.adopt(TxnId(40));
+        assert_eq!(tm.state(TxnId(40)), Some(TxnState::Active));
+        assert!(!tm.mark_logged(TxnId(40), 99).unwrap(), "already logged");
+        assert_eq!(tm.active_logged_first_lsns(), vec![(40, 0)]);
+        assert_eq!(tm.take_undo(TxnId(40)), vec![undo]);
+        assert!(tm.begin(false).0 > 40);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! abort-time rollback steps, which are logged as ordinary records in
 //! compensation-log style — is reapplied in log order *iff* the page's
 //! stamped LSN shows it has not already absorbed the change, and
-//! transactions that were still in flight at the crash are then rolled
-//! back from the before-images. Aborted transactions need no extra work:
+//! transactions that were still in flight at the crash are then aborted
+//! like live ones, from undo lists rebuilt out of the before-images, with
+//! every rollback step logged again. Aborted transactions need no extra work:
 //! their rollback is itself in the log, which is how "actions of aborted
 //! transactions are rolled back, \[and\] so are their associated events"
 //! (§5.5) — trigger state lives in ordinary records, so its rollback
