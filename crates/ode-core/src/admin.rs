@@ -12,8 +12,7 @@
 use crate::database::Database;
 use crate::error::{OdeError, Result};
 use crate::trigger::TriggerStateRec;
-use ode_storage::{Oid, StorageError, TxnId};
-use std::collections::HashSet;
+use ode_storage::{IntSet, Oid, StorageError, TxnId};
 
 /// One integrity violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +85,7 @@ impl Database {
     pub fn verify_integrity(&self, txn: TxnId) -> Result<IntegrityReport> {
         let mut report = IntegrityReport::default();
         // State → anchors: each anchor's header must list the state.
-        let mut valid = HashSet::new();
+        let mut valid = IntSet::default();
         for state in self.storage.scan_cluster(txn, self.state_cluster)? {
             let record = self.storage.read(txn, state)?;
             let Ok(rec) = TriggerStateRec::decode_with(&record, &self.interner) else {

@@ -28,7 +28,7 @@ use bytes::{BufMut, BytesMut};
 use ode_events::event::EventTime;
 use ode_events::registry::EventRegistry;
 use ode_storage::codec::{decode_all, encode_to_vec, Decode, Encode};
-use ode_storage::{ClusterId, Oid, Storage, StorageOptions, TxnId};
+use ode_storage::{ClusterId, IntMap, Oid, Storage, StorageOptions, TxnId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::Path;
@@ -46,11 +46,14 @@ pub(crate) struct ClassEntry {
     pub td: Arc<TypeDescriptor>,
 }
 
+/// The class directory. Ids and symbols are engine-issued integers and
+/// hash with [`IntMap`]; names come from clients and keep std's keyed
+/// hasher.
 #[derive(Default)]
 struct Schema {
     by_name: HashMap<String, ClassEntry>,
-    by_id: HashMap<u32, String>,
-    by_sym: HashMap<Sym, ClassEntry>,
+    by_id: IntMap<u32, String>,
+    by_sym: IntMap<Sym, ClassEntry>,
 }
 
 /// The persisted part of the schema.
@@ -94,7 +97,7 @@ pub(crate) struct TxnLocal {
     /// advance, dirty `statenum`s settled in one pass at commit — X-locked
     /// always, written only when changed — and simply dropped on abort
     /// (storage was never written).
-    pub state_cache: HashMap<Oid, CachedTriggerState>,
+    pub state_cache: IntMap<Oid, CachedTriggerState>,
 }
 
 /// Sharded map of per-transaction scratch state ([`TxnLocal`]). Keyed by
@@ -103,7 +106,7 @@ pub(crate) struct TxnLocal {
 /// posting hot-path touch funnelled through). The shard count follows the
 /// storage `shards` knob; `1` reproduces the original single-mutex map.
 pub(crate) struct TxnLocalMap {
-    shards: Box<[Mutex<HashMap<TxnId, TxnLocal>>]>,
+    shards: Box<[Mutex<IntMap<TxnId, TxnLocal>>]>,
     mask: usize,
 }
 
@@ -111,13 +114,13 @@ impl TxnLocalMap {
     fn new(shards: usize) -> TxnLocalMap {
         let n = shards.max(1).next_power_of_two();
         TxnLocalMap {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(IntMap::default())).collect(),
             mask: n - 1,
         }
     }
 
     /// Lock the shard holding `txn`'s entry.
-    pub(crate) fn lock(&self, txn: TxnId) -> parking_lot::MutexGuard<'_, HashMap<TxnId, TxnLocal>> {
+    pub(crate) fn lock(&self, txn: TxnId) -> parking_lot::MutexGuard<'_, IntMap<TxnId, TxnLocal>> {
         self.shards[txn.0 as usize & self.mask].lock()
     }
 }

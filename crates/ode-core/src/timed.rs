@@ -21,9 +21,8 @@ use crate::database::Database;
 use crate::error::Result;
 use crate::trigger::TriggerStateRec;
 use ode_events::event::EventId;
-use ode_storage::TxnId;
+use ode_storage::{IntMap, TxnId};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 impl Database {
     /// Advance the named logical timer by one tick. Returns the number of
@@ -42,7 +41,7 @@ impl Database {
         // class id → declared `timer <timer>` event, resolved at most
         // once per class per tick (the resolution walks the descriptor's
         // event list comparing strings; armed objects share few classes).
-        let mut per_class: HashMap<u32, Option<EventId>> = HashMap::new();
+        let mut per_class: IntMap<u32, Option<EventId>> = IntMap::default();
         let mut posted = 0;
         for oid in anchors {
             let Ok(header) = self.read_header(txn, oid) else {

@@ -52,12 +52,12 @@
 
 use crate::disk::DiskFile;
 use crate::error::Result;
+use crate::hash::IntMap;
 use crate::oid::PageId;
 use crate::page::Page;
 use crate::wal::Wal;
 use ode_obs::{FlightEvent, Metrics};
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -80,7 +80,7 @@ struct Frame {
 }
 
 struct PoolInner {
-    frames: HashMap<PageId, Frame>,
+    frames: IntMap<PageId, Frame>,
     /// Clock hand order (page ids, may contain stale entries lazily pruned).
     clock: Vec<PageId>,
     hand: usize,
@@ -154,7 +154,7 @@ impl BufferPool {
             shards: (0..n)
                 .map(|_| {
                     Mutex::new(PoolInner {
-                        frames: HashMap::new(),
+                        frames: IntMap::default(),
                         clock: Vec::new(),
                         hand: 0,
                         hits: 0,

@@ -46,6 +46,10 @@ pub enum StorageError {
     /// and no commit can be acknowledged until the log is reopened and
     /// recovered (fail-stop fsync semantics).
     WalPoisoned(String),
+    /// A durability wait named an LSN past the end of the log: no record
+    /// ends there, so no flush can ever make it durable. Carries the
+    /// requested LSN and the log end it was checked against.
+    LsnPastEnd { target: u64, end: u64 },
     /// A read-only snapshot transaction attempted a write operation.
     ReadOnlyTxn(TxnId),
     /// A quiesced checkpoint was requested while transactions were still
@@ -79,6 +83,9 @@ impl std::fmt::Display for StorageError {
             StorageError::UserAbort(m) => write!(f, "transaction aborted by application: {m}"),
             StorageError::WalPoisoned(m) => {
                 write!(f, "write-ahead log poisoned by an i/o failure: {m}")
+            }
+            StorageError::LsnPastEnd { target, end } => {
+                write!(f, "durability wait for lsn {target} past the log end {end}")
             }
             StorageError::ReadOnlyTxn(t) => {
                 write!(f, "read-only snapshot transaction {t} attempted a write")

@@ -16,6 +16,8 @@
 //! * [`wal`] — physiological write-ahead logging with ARIES-style
 //!   recovery: repeat history from the checkpoint, then abort the losers
 //!   through the same logged rollback a live abort uses.
+//! * [`hash`] — the one hasher for engine-issued integer keys
+//!   ([`IntMap`], [`IntSet`]).
 //! * [`fault`] — the fault injector the crash-recovery harness tears
 //!   writes and fails fsyncs with.
 //! * [`lock`] — strict 2PL with deadlock detection and wait statistics
@@ -50,6 +52,7 @@ pub mod codec;
 pub mod disk;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod lock;
 pub mod mem;
 pub mod oid;
@@ -61,6 +64,7 @@ pub mod wal;
 
 pub use error::{Result, StorageError};
 pub use fault::{FaultFile, FaultInjector};
+pub use hash::{IntMap, IntSet};
 pub use oid::{ClusterId, Oid, PageId};
 pub use storage::{CommitTicket, EngineKind, Storage, StorageOptions};
 pub use txn::{TxnId, TxnState};

@@ -11,11 +11,17 @@
 //! ## Striping
 //!
 //! The lock table is split into a power-of-two array of *stripes*, each a
-//! mutex-guarded table with its own condvar. A key's stripe is a hash of
-//! the key, so unrelated lock/unlock traffic from different threads lands
-//! on different mutexes instead of funnelling through one process-wide
-//! lock. `Storage` always uses [`DEFAULT_LOCK_STRIPES`]; stripe count 1
-//! (see [`LockManager::with_config`]) reproduces the original single-table
+//! mutex-guarded table with its own condvar, so unrelated lock/unlock
+//! traffic from different threads lands on different mutexes instead of
+//! funnelling through one process-wide lock. A key's stripe is
+//! `hash::partition` of the key: middle bits of the engine's one integer
+//! hasher ([`crate::hash`]), whose low and top bits the stripe's own
+//! tables then use for buckets and tags. Every table in a stripe, and the
+//! per-transaction footprints, is an [`IntMap`]: lock keys and
+//! transaction ids are engine-issued integers, hashed with one multiply
+//! per word rather than SipHash. `Storage` always uses
+//! [`DEFAULT_LOCK_STRIPES`]; stripe count 1 (see
+//! [`LockManager::with_config`]) reproduces the original single-table
 //! manager exactly, which the unit tests use to force same-stripe
 //! collisions.
 //!
@@ -46,10 +52,10 @@
 //! writers.
 
 use crate::error::{Result, StorageError};
+use crate::hash::{partition, IntMap, IntSet};
 use crate::txn::TxnId;
 use ode_obs::{FlightEvent, Metrics};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,7 +85,7 @@ pub enum LockMode {
 
 #[derive(Default)]
 struct LockState {
-    holders: HashMap<TxnId, LockMode>,
+    holders: IntMap<TxnId, LockMode>,
 }
 
 impl LockState {
@@ -103,12 +109,12 @@ impl LockState {
 /// keyed by transaction but store only this stripe's keys.
 #[derive(Default)]
 struct Tables {
-    locks: HashMap<LockKey, LockState>,
+    locks: IntMap<LockKey, LockState>,
     /// Keys held per transaction (this stripe only), for O(held) release.
-    held: HashMap<TxnId, HashSet<LockKey>>,
+    held: IntMap<TxnId, IntSet<LockKey>>,
     /// What each blocked transaction is currently waiting on (waiters
     /// register in the stripe of the key they wait for).
-    waiting: HashMap<TxnId, (LockKey, LockMode)>,
+    waiting: IntMap<TxnId, (LockKey, LockMode)>,
 }
 
 struct Stripe {
@@ -147,7 +153,7 @@ enum Sweep {
 
 /// One shard of the per-transaction stripe-footprint map: txn id →
 /// bitmask of stripes the transaction has requested locks in.
-type FootprintShard = Mutex<HashMap<TxnId, Vec<u64>>>;
+type FootprintShard = Mutex<IntMap<TxnId, Vec<u64>>>;
 
 /// The lock manager. See module docs for the striping design.
 pub struct LockManager {
@@ -204,7 +210,7 @@ impl LockManager {
                 })
                 .collect(),
             mask: n - 1,
-            footprints: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            footprints: (0..n).map(|_| Mutex::new(IntMap::default())).collect(),
             fp_mask: n - 1,
             stats_baseline: Mutex::new(LockStats::default()),
             metrics,
@@ -220,16 +226,7 @@ impl LockManager {
     /// Which stripe a key lives in (stable for the manager's lifetime;
     /// exposed so tests can construct cross-stripe scenarios).
     pub fn stripe_of(&self, key: &LockKey) -> usize {
-        // Fibonacci hashing on a 64-bit mix of the key. Object keys are
-        // packed Oids whose low bits are slot numbers; the multiply
-        // spreads them across stripes.
-        let raw = match key {
-            LockKey::Object(o) => *o,
-            LockKey::Roots => u64::MAX,
-            LockKey::Cluster(c) => 0x4000_0000_0000_0000 | *c as u64,
-        };
-        let h = raw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) as usize) & self.mask
+        partition(key, self.mask)
     }
 
     /// Lock one stripe, counting contended acquisitions into the registry.
@@ -399,7 +396,7 @@ impl LockManager {
         }
         // DFS over the waits-for graph: waiter -> holders blocking it.
         let mut stack = vec![txn];
-        let mut seen = HashSet::new();
+        let mut seen = IntSet::default();
         while let Some(t) = stack.pop() {
             let Some(&(wkey, wmode)) = guards.iter().find_map(|g| g.waiting.get(&t)) else {
                 continue;
@@ -529,6 +526,7 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     const T1: TxnId = TxnId(1);

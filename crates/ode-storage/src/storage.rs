@@ -49,6 +49,7 @@ use crate::codec::{decode_all, encode_to_vec, Decode, Encode};
 use crate::disk::DiskFile;
 use crate::error::{Result, StorageError};
 use crate::fault::FaultInjector;
+use crate::hash::{IntMap, IntSet};
 use crate::lock::{LockKey, LockManager, LockMode, LockStats};
 use crate::mem::MemStore;
 use crate::oid::{ClusterId, Oid, PageId, FIRST_USER_CLUSTER, SYSTEM_CLUSTER, UNASSIGNED_CLUSTER};
@@ -59,7 +60,7 @@ use crate::wal::{LogRecord, Wal};
 use bytes::{BufMut, BytesMut};
 use ode_obs::{FlightEvent, Metrics};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -215,7 +216,7 @@ const ALLOC_REFILL_BATCH: usize = 4;
 #[derive(Default)]
 struct AllocGlobal {
     /// All pages belonging to each cluster.
-    cluster_pages: HashMap<ClusterId, BTreeSet<PageId>>,
+    cluster_pages: IntMap<ClusterId, BTreeSet<PageId>>,
 }
 
 /// One shard of the allocation directory; a page's shard is fixed by its
@@ -228,7 +229,7 @@ struct AllocShard {
     /// (`usize::MAX` until a probe fails). `pick_page` skips a page for
     /// any cell at least that long without reading it; `note_space`
     /// resets the bound whenever the page's space changes.
-    with_space: HashMap<ClusterId, BTreeMap<PageId, usize>>,
+    with_space: IntMap<ClusterId, BTreeMap<PageId, usize>>,
     /// Pages not yet assigned to any cluster (this shard only).
     unassigned: BTreeSet<PageId>,
 }
@@ -713,8 +714,7 @@ impl Storage {
     ///   Loser undo is collected from the record either way — the effect
     ///   is in the page whether redo or the steal put it there.
     fn replay(&self, records: &[(u64, LogRecord)]) -> Result<Vec<(TxnId, UndoOp)>> {
-        use std::collections::HashSet;
-        let resolved: HashSet<u64> = records
+        let resolved: IntSet<u64> = records
             .iter()
             .filter_map(|(_, r)| match r {
                 LogRecord::Commit { txn } | LogRecord::Abort { txn } => Some(*txn),
@@ -1010,10 +1010,11 @@ impl Storage {
         self.txns.snapshot_of(txn).is_some()
     }
 
-    /// Fail when `txn` is a read-only snapshot transaction: those may not
-    /// acquire exclusive locks or mutate pages.
+    /// Fail unless `txn` is an active writer: `TxnNotActive` when it has
+    /// finished, `ReadOnlyTxn` when it is a read-only snapshot transaction
+    /// (those may not acquire exclusive locks or mutate pages).
     fn require_writer(&self, txn: TxnId) -> Result<()> {
-        match self.txns.snapshot_of(txn) {
+        match self.txns.active_snapshot(txn)? {
             Some(_) => Err(StorageError::ReadOnlyTxn(txn)),
             None => Ok(()),
         }
@@ -1067,12 +1068,11 @@ impl Storage {
     /// dependent system transactions append their Commit records into the
     /// same flush batch as their parent.
     pub fn commit_deferred(&self, txn: TxnId) -> Result<CommitTicket> {
-        self.txns.require_active(txn)?;
         // Snapshot transactions wrote nothing: no log, no locks, no purge.
         // Their ticket carries the *begin-time* read barrier (every commit
         // visible at the snapshot sits at or below that log tail), and
         // releasing the snapshot unpins the GC horizon.
-        if let Some(snap) = self.txns.snapshot_of(txn) {
+        if let Some(snap) = self.txns.active_snapshot(txn)? {
             let read_barrier = self.txns.read_barrier_of(txn);
             self.versions.release_snapshot(snap);
             self.txns.finish(txn, TxnState::Committed)?;
@@ -1223,7 +1223,7 @@ impl Storage {
     /// test). The first restore error is still reported, but the
     /// transaction always finishes and always releases its locks.
     pub fn abort(&self, txn: TxnId) -> Result<()> {
-        self.txns.require_active(txn)?;
+        let snapshot = self.txns.active_snapshot(txn)?;
         let undo = self.txns.take_undo(txn);
         let mut first_err = None;
         for op in undo.into_iter().rev() {
@@ -1240,7 +1240,7 @@ impl Storage {
         if !dirty.is_empty() {
             self.versions.clear_writer(txn, &dirty);
         }
-        if let Some(snap) = self.txns.snapshot_of(txn) {
+        if let Some(snap) = snapshot {
             self.versions.release_snapshot(snap);
         }
         if let Some(wal) = &self.wal {
@@ -1857,7 +1857,6 @@ impl Storage {
 
     /// Allocate a new persistent object (`pnew`). Returns its stable Oid.
     pub fn allocate(&self, txn: TxnId, cluster: ClusterId, data: &[u8]) -> Result<Oid> {
-        self.txns.require_active(txn)?;
         self.require_writer(txn)?;
         let cell = self.build_cell(txn, cluster, data, false)?;
         let oid = self.raw_insert(txn, cluster, &cell, true)?;
@@ -1871,8 +1870,7 @@ impl Storage {
     /// registered commit sequence without any lock-manager locks; 2PL
     /// transactions take a shared lock as before.
     pub fn read(&self, txn: TxnId, oid: Oid) -> Result<Vec<u8>> {
-        self.txns.require_active(txn)?;
-        if let Some(s) = self.txns.snapshot_of(txn) {
+        if let Some(s) = self.txns.active_snapshot(txn)? {
             self.metrics.snapshot_reads.inc();
             return self
                 .snapshot_lookup(s, oid)?
@@ -1889,7 +1887,6 @@ impl Storage {
     /// when a commit owes §6's write lock on a record whose bytes it
     /// leaves unchanged: no WAL record, no version, no dirty page.
     pub fn lock_exclusive(&self, txn: TxnId, oid: Oid) -> Result<()> {
-        self.txns.require_active(txn)?;
         self.require_writer(txn)?;
         self.locks
             .lock(txn, LockKey::Object(oid.to_u64()), LockMode::Exclusive)
@@ -1930,7 +1927,6 @@ impl Storage {
     /// Overwrite an object's bytes (exclusive lock). The Oid stays valid
     /// even when the record has to move to another page.
     pub fn update(&self, txn: TxnId, oid: Oid, data: &[u8]) -> Result<()> {
-        self.txns.require_active(txn)?;
         self.require_writer(txn)?;
         self.locks
             .lock(txn, LockKey::Object(oid.to_u64()), LockMode::Exclusive)?;
@@ -1979,7 +1975,6 @@ impl Storage {
 
     /// Delete an object (`pdelete`).
     pub fn free(&self, txn: TxnId, oid: Oid) -> Result<()> {
-        self.txns.require_active(txn)?;
         self.require_writer(txn)?;
         self.locks
             .lock(txn, LockKey::Object(oid.to_u64()), LockMode::Exclusive)?;
@@ -2000,8 +1995,7 @@ impl Storage {
 
     /// Does the object exist? (Shared lock; lock-free for snapshots.)
     pub fn exists(&self, txn: TxnId, oid: Oid) -> Result<bool> {
-        self.txns.require_active(txn)?;
-        if let Some(s) = self.txns.snapshot_of(txn) {
+        if let Some(s) = self.txns.active_snapshot(txn)? {
             self.metrics.snapshot_reads.inc();
             return Ok(self.snapshot_lookup(s, oid)?.is_some());
         }
@@ -2017,8 +2011,7 @@ impl Storage {
     /// All object Oids in a cluster (O++'s `for x in cluster` iteration).
     /// Objects are reported under their stable primary Oids.
     pub fn scan_cluster(&self, txn: TxnId, cluster: ClusterId) -> Result<Vec<Oid>> {
-        self.txns.require_active(txn)?;
-        if let Some(s) = self.txns.snapshot_of(txn) {
+        if let Some(s) = self.txns.active_snapshot(txn)? {
             return self.snapshot_scan(s, cluster);
         }
         self.locks
@@ -2099,7 +2092,6 @@ impl Storage {
 
     /// Allocate a fresh cluster id (persisted in the roots record).
     pub fn create_cluster(&self, txn: TxnId) -> Result<ClusterId> {
-        self.txns.require_active(txn)?;
         self.require_writer(txn)?;
         self.locks.lock(txn, LockKey::Roots, LockMode::Exclusive)?;
         let mut record = self.read_roots()?;
@@ -2112,8 +2104,7 @@ impl Storage {
     /// Look up a named root. Snapshot transactions decode the roots record
     /// via the version store — no Roots lock.
     pub fn get_root(&self, txn: TxnId, name: &str) -> Result<Oid> {
-        self.txns.require_active(txn)?;
-        let record = if let Some(s) = self.txns.snapshot_of(txn) {
+        let record = if let Some(s) = self.txns.active_snapshot(txn)? {
             self.metrics.snapshot_reads.inc();
             let data = self
                 .snapshot_lookup(s, ROOTS_OID)?
@@ -2133,7 +2124,6 @@ impl Storage {
 
     /// Create or replace a named root.
     pub fn set_root(&self, txn: TxnId, name: &str, oid: Oid) -> Result<()> {
-        self.txns.require_active(txn)?;
         self.require_writer(txn)?;
         self.locks.lock(txn, LockKey::Roots, LockMode::Exclusive)?;
         let mut record = self.read_roots()?;
@@ -2146,7 +2136,6 @@ impl Storage {
 
     /// Remove a named root (missing names are fine).
     pub fn del_root(&self, txn: TxnId, name: &str) -> Result<()> {
-        self.txns.require_active(txn)?;
         self.require_writer(txn)?;
         self.locks.lock(txn, LockKey::Roots, LockMode::Exclusive)?;
         let mut record = self.read_roots()?;
@@ -2977,6 +2966,52 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_torn_in_its_wal_reset_keeps_later_commits() {
+        // A quiesced checkpoint ends with the WAL reset. Tear the reset's
+        // header write, reopen, commit an update and crash: the update
+        // survives only if the reopened log's LSNs stay above those the
+        // checkpoint image stamped on its pages. The memory engine's image
+        // is written outside the injector, so its WAL reset is the first
+        // write the cap meets.
+        let dir = TempDir::new("store");
+        let injector = Arc::new(FaultInjector::new());
+        let opts = StorageOptions {
+            fault: Some(Arc::clone(&injector)),
+            ..StorageOptions::memory()
+        };
+        let (oid, end);
+        {
+            let s = Storage::create(dir.path(), opts.clone()).unwrap();
+            let t = s.begin().unwrap();
+            let c = s.create_cluster(t).unwrap();
+            oid = s.allocate(t, c, b"first").unwrap();
+            s.commit(t).unwrap();
+            let wal = s.wal.as_ref().unwrap();
+            wal.flush().unwrap();
+            end = wal.end_lsn();
+            injector.arm_write_cap(5);
+            assert!(s.checkpoint().is_err());
+            std::mem::forget(s); // crash
+        }
+        injector.disarm();
+        {
+            let s = Storage::open(dir.path(), opts.clone()).unwrap();
+            assert!(
+                s.wal.as_ref().unwrap().base_lsn() >= end,
+                "LSN clock rewound"
+            );
+            let t = s.begin().unwrap();
+            s.update(t, oid, b"second").unwrap();
+            s.commit(t).unwrap();
+            std::mem::forget(s); // crash
+        }
+        let s = Storage::open(dir.path(), opts).unwrap();
+        let t = s.begin().unwrap();
+        assert_eq!(s.read(t, oid).unwrap(), b"second");
+        s.commit(t).unwrap();
+    }
+
+    #[test]
     fn many_objects_spread_over_pages() {
         let s = Storage::volatile();
         let t = s.begin().unwrap();
@@ -3032,6 +3067,34 @@ mod tests {
         assert_eq!(s.read(r, oid).unwrap(), b"x");
         s.commit(r).unwrap();
         assert_eq!(s.version_stats().active_snapshots, 0);
+    }
+
+    #[test]
+    fn a_finished_snapshot_is_not_active_before_it_is_read_only() {
+        let s = Storage::volatile();
+        let (cluster, oid) = {
+            let t = s.begin().unwrap();
+            let c = s.create_cluster(t).unwrap();
+            let o = s.allocate(t, c, b"x").unwrap();
+            s.commit(t).unwrap();
+            (c, o)
+        };
+        let r = s.begin_read_only().unwrap();
+        s.commit(r).unwrap();
+        let not_active =
+            |res: Result<()>| matches!(res, Err(StorageError::TxnNotActive(t)) if t == r);
+        assert!(not_active(s.update(r, oid, b"y")));
+        assert!(not_active(s.allocate(r, cluster, b"y").map(|_| ())));
+        assert!(not_active(s.free(r, oid)));
+        assert!(not_active(s.lock_exclusive(r, oid)));
+        assert!(not_active(s.create_cluster(r).map(|_| ())));
+        assert!(not_active(s.set_root(r, "r", oid)));
+        assert!(not_active(s.del_root(r, "r")));
+        assert!(not_active(s.read(r, oid).map(|_| ())));
+        assert!(not_active(s.exists(r, oid).map(|_| ())));
+        assert!(not_active(s.scan_cluster(r, cluster).map(|_| ())));
+        assert!(not_active(s.get_root(r, "r").map(|_| ())));
+        assert!(not_active(s.abort(r)));
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! `TxnManager::adopt` re-enters it under its logged id.
 //!
 //! The transaction table is striped by transaction id: every storage
-//! operation consults it (`require_active`, `push_undo`, ...), so a single
-//! table mutex would serialize otherwise-independent transactions. Each
+//! operation consults it ([`TxnManager::active_snapshot`], `push_undo`,
+//! ...), so a single table mutex would serialize otherwise-independent
+//! transactions. Each
 //! stripe has its own condvar; [`TxnManager::finish`] notifies the
 //! finished transaction's stripe, which is exactly where
 //! [`TxnManager::await_dependencies`] waits for it.
@@ -34,10 +35,10 @@
 //! the id, so an id a caller holds is never absent while active).
 
 use crate::error::{Result, StorageError};
+use crate::hash::{IntMap, IntSet};
 use crate::oid::{Oid, PageId};
 use ode_obs::Metrics;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -112,7 +113,7 @@ struct TxnRecord {
     /// Primary Oids (as `u64`) whose pages this transaction has mutated —
     /// the write set whose committed values the version store installs at
     /// commit (or unpins on abort).
-    dirty: HashSet<u64>,
+    dirty: IntSet<u64>,
     /// For read-only transactions: the version-store snapshot sequence
     /// every read is served at. `None` for ordinary (writer) transactions.
     snapshot: Option<u64>,
@@ -132,7 +133,7 @@ impl TxnRecord {
             logged: false,
             first_lsn: None,
             commit_lsn: None,
-            dirty: HashSet::new(),
+            dirty: IntSet::default(),
             snapshot: None,
             read_barrier: None,
         }
@@ -142,9 +143,9 @@ impl TxnRecord {
 #[derive(Default)]
 struct StripeTable {
     /// Active transactions; a record is removed when it finishes.
-    live: HashMap<TxnId, TxnRecord>,
+    live: IntMap<TxnId, TxnRecord>,
     /// Ids of finished transactions that aborted.
-    aborted: HashSet<TxnId>,
+    aborted: IntSet<TxnId>,
 }
 
 impl StripeTable {
@@ -268,9 +269,11 @@ impl TxnManager {
             .is_some_and(|r| r.system)
     }
 
-    /// Fail unless `txn` is active.
-    pub fn require_active(&self, txn: TxnId) -> Result<()> {
-        self.lock_stripe(txn).active_mut(txn).map(|_| ())
+    /// Fail unless `txn` is active; otherwise its snapshot sequence if it
+    /// is a read-only transaction, `None` for a writer. One stripe lock
+    /// and one probe: the check every storage entry point starts with.
+    pub fn active_snapshot(&self, txn: TxnId) -> Result<Option<u64>> {
+        Ok(self.lock_stripe(txn).active_mut(txn)?.snapshot)
     }
 
     /// Record an undo action for `txn`.
@@ -645,6 +648,24 @@ mod tests {
         tm.set_snapshot(t, 5, Some(99));
         assert_eq!(tm.snapshot_of(t), Some(5));
         assert_eq!(tm.read_barrier_of(t), Some(99));
+    }
+
+    #[test]
+    fn active_snapshot_answers_liveness_and_snapshot_in_one_probe() {
+        let tm = TxnManager::default();
+        let (writer, reader) = (tm.begin(false), tm.begin(false));
+        tm.set_snapshot(reader, 5, None);
+        assert_eq!(tm.active_snapshot(writer).unwrap(), None);
+        assert_eq!(tm.active_snapshot(reader).unwrap(), Some(5));
+        tm.finish(reader, TxnState::Committed).unwrap();
+        assert!(matches!(
+            tm.active_snapshot(reader),
+            Err(StorageError::TxnNotActive(t)) if t == reader
+        ));
+        assert!(matches!(
+            tm.active_snapshot(TxnId(999)),
+            Err(StorageError::TxnNotActive(_))
+        ));
     }
 
     #[test]

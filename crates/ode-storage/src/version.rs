@@ -47,11 +47,12 @@
 //!   held across the removals, so none can register mid-sweep — which
 //!   keeps the store empty on write-only workloads.
 
+use crate::hash::{partition, IntMap};
 use crate::oid::ClusterId;
 use crate::txn::TxnId;
 use ode_obs::Metrics;
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -105,7 +106,7 @@ pub struct VersionStats {
 
 /// The process-wide store of object version chains. See module docs.
 pub struct VersionStore {
-    shards: Box<[Mutex<HashMap<u64, Chain>>]>,
+    shards: Box<[Mutex<IntMap<u64, Chain>>]>,
     /// `shards.len() - 1`; shard count is always a power of two.
     mask: usize,
     /// Last published commit sequence. Stored with `Release` after a full
@@ -125,7 +126,7 @@ impl VersionStore {
     pub fn new(shards: usize, metrics: Arc<Metrics>) -> VersionStore {
         let n = shards.max(1).next_power_of_two();
         VersionStore {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(IntMap::default())).collect(),
             mask: n - 1,
             seq: AtomicU64::new(0),
             commit_lock: Mutex::new(()),
@@ -134,10 +135,8 @@ impl VersionStore {
         }
     }
 
-    fn shard(&self, oid: u64) -> &Mutex<HashMap<u64, Chain>> {
-        // Oids pack (page, slot); fold the high half in so dense pages
-        // still spread over shards.
-        &self.shards[((oid ^ (oid >> 32)) as usize) & self.mask]
+    fn shard(&self, oid: u64) -> &Mutex<IntMap<u64, Chain>> {
+        &self.shards[partition(&oid, self.mask)]
     }
 
     /// The last published commit sequence.

@@ -338,8 +338,8 @@ pub struct Wal {
     /// there). Changes only under the flush+tail+file lock triplet
     /// ([`Wal::reset`] / [`Wal::truncate_prefix`]); reads are relaxed.
     base_lsn: std::sync::atomic::AtomicU64,
-    /// Fault injector shared with the file handle, kept so
-    /// [`Wal::truncate_prefix`] can wrap its rewrite in the same faults.
+    /// Fault injector shared with the file handle, kept so the rewrites of
+    /// [`Wal::reset`] and [`Wal::truncate_prefix`] meet the same faults.
     injector: Option<Arc<FaultInjector>>,
     /// Whether commit flushes call fsync. Off by default for tests/benches;
     /// on for durability-critical deployments.
@@ -530,6 +530,12 @@ impl Wal {
                         self.metrics.wal_group_size_sum.add(commits);
                     }
                     self.durable.notify_all();
+                    // Every LSN handed out was below the tail taken above,
+                    // so a target past it was never issued: no flush can
+                    // ever reach it.
+                    if end < target {
+                        return Err(StorageError::LsnPastEnd { target, end });
+                    }
                 }
                 Err(e) => {
                     // The batch may be torn on disk and the commits in it
@@ -566,11 +572,14 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncate the log file to empty (done right after a quiesced
-    /// checkpoint, when the data file already reflects everything). The
-    /// LSN clock keeps running — the header's `base_lsn` is rewritten to
-    /// the current end — and the now-empty log is durable by definition,
-    /// so durability tickets taken before the reset remain satisfied.
+    /// Empty the log (done right after a quiesced checkpoint, when the
+    /// data file already reflects everything). The LSN clock keeps
+    /// running — the header's `base_lsn` is rewritten to the current end —
+    /// and the now-empty log is durable by definition, so durability
+    /// tickets taken before the reset remain satisfied. The empty image is
+    /// renamed over the log like [`Wal::truncate_prefix`]'s, so a crash
+    /// leaves the old log or the new one, never a header-less file that
+    /// would restart the clock at 0, below the LSNs stamped on pages.
     pub fn reset(&self) -> Result<()> {
         let mut st = self.flush.lock();
         while st.leader_active {
@@ -578,18 +587,54 @@ impl Wal {
         }
         let mut tail = self.tail.lock();
         let mut file = self.file.lock();
+        self.replace_file(&mut file, tail.next_lsn, &[])?;
         tail.pending.clear();
         tail.pending_commits = 0;
-        file.set_len(0)?;
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&encode_header(tail.next_lsn))?;
-        if self.fsync {
-            file.sync_data()?;
-        }
-        self.base_lsn
-            .store(tail.next_lsn, std::sync::atomic::Ordering::Relaxed);
         st.flushed_lsn = tail.next_lsn;
         self.durable.notify_all();
+        Ok(())
+    }
+
+    /// Make the log file `[header(base)][frames]`: write that image beside
+    /// the log, sync it (when fsync is configured), rename it into place,
+    /// and point `file` and `base_lsn` at it. A crash at any point leaves
+    /// either the old complete log or the new one; with fsync configured,
+    /// the directory is synced too, so appends that follow cannot land in
+    /// a file a crash would swap back out. The caller holds the flush,
+    /// tail and file locks.
+    fn replace_file(&self, file: &mut FaultFile, base: u64, frames: &[u8]) -> Result<()> {
+        let tmp_path = self.path.with_extension("truncate");
+        {
+            let tmp = std::fs::OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&tmp_path)?;
+            let mut tmp = FaultFile::new(tmp, self.injector.clone());
+            tmp.write_all(&encode_header(base))?;
+            tmp.write_all(frames)?;
+            if self.fsync {
+                tmp.sync_data()?;
+            }
+        }
+        std::fs::rename(&tmp_path, &self.path)?;
+        if self.fsync {
+            let dir = match self.path.parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => Path::new("."),
+            };
+            std::fs::File::open(dir)?.sync_all()?;
+        }
+        // The held handle still points at the old inode: reopen.
+        let reopened = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&self.path)?;
+        let mut reopened = FaultFile::new(reopened, self.injector.clone());
+        reopened.seek(SeekFrom::End(0))?;
+        *file = reopened;
+        self.base_lsn
+            .store(base, std::sync::atomic::Ordering::Relaxed);
         Ok(())
     }
 
@@ -622,32 +667,7 @@ impl Wal {
         file.seek(SeekFrom::Start(WAL_HEADER + (horizon - base)))?;
         let mut suffix = Vec::new();
         file.read_to_end(&mut suffix)?;
-        // Write the new image beside the log and rename it into place.
-        let tmp_path = self.path.with_extension("truncate");
-        {
-            let tmp = std::fs::OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp_path)?;
-            let mut tmp = FaultFile::new(tmp, self.injector.clone());
-            tmp.write_all(&encode_header(horizon))?;
-            tmp.write_all(&suffix)?;
-            if self.fsync {
-                tmp.sync_data()?;
-            }
-        }
-        std::fs::rename(&tmp_path, &self.path)?;
-        // The held handle still points at the old inode: reopen.
-        let reopened = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)?;
-        let mut reopened = FaultFile::new(reopened, self.injector.clone());
-        reopened.seek(SeekFrom::End(0))?;
-        *file = reopened;
-        self.base_lsn
-            .store(horizon, std::sync::atomic::Ordering::Relaxed);
+        self.replace_file(&mut file, horizon, &suffix)?;
         let freed = horizon - base;
         self.metrics.wal_truncated_bytes.add(freed);
         Ok(freed)
@@ -1034,5 +1054,67 @@ mod tests {
             wal.commit_wait(lsn2),
             Err(StorageError::WalPoisoned(_))
         ));
+    }
+
+    #[test]
+    fn a_reset_torn_in_its_header_keeps_the_old_log_and_lsn_clock() {
+        // A checkpoint ends with a reset. If the device dies 5 bytes into
+        // the new header, the next open must still find a log whose clock
+        // runs from where the last complete reset put it, not from 0.
+        let dir = TempDir::new("wal");
+        let path = dir.file("log");
+        let injector = Arc::new(crate::fault::FaultInjector::new());
+        let wal = Wal::open_with(&path, false, Some(Arc::clone(&injector))).unwrap();
+        wal.append(&LogRecord::Begin { txn: 1 });
+        wal.flush().unwrap();
+        wal.reset().unwrap();
+        let base = wal.base_lsn();
+        assert!(base > 0);
+        let a = wal.append(&LogRecord::Begin { txn: 2 });
+        let b = wal.append(&LogRecord::Commit { txn: 2 });
+        wal.flush().unwrap();
+        injector.arm_write_cap(5);
+        assert!(wal.reset().is_err());
+        drop(wal);
+        let wal = Wal::open(&path, false).unwrap();
+        assert_eq!(wal.base_lsn(), base, "base_lsn rewound");
+        assert_eq!(wal.end_lsn(), b);
+        assert_eq!(
+            Wal::read_all(&path).unwrap(),
+            vec![
+                (a, LogRecord::Begin { txn: 2 }),
+                (b, LogRecord::Commit { txn: 2 })
+            ]
+        );
+    }
+
+    #[test]
+    fn waiting_past_the_log_end_is_an_error_not_a_spin() {
+        let dir = TempDir::new("wal");
+        let wal = Arc::new(Wal::open(&dir.file("log"), false).unwrap());
+        let end = wal.append(&LogRecord::Begin { txn: 1 });
+        let (tx, rx) = std::sync::mpsc::channel();
+        for target in [end + 100, end + 1] {
+            let wal = Arc::clone(&wal);
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let _ = tx.send((target, wal.commit_wait(target)));
+                let _ = tx.send((target, wal.flush_through(target)));
+            });
+        }
+        for _ in 0..4 {
+            let (target, result) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a wait past the log end must return");
+            assert!(
+                matches!(result, Err(StorageError::LsnPastEnd { target: t, end: e }) if t == target && e == end),
+                "{result:?}"
+            );
+        }
+        // What the log does hold was flushed on the way, and it stays
+        // usable.
+        assert_eq!(wal.flushed_lsn(), end);
+        let next = wal.append(&LogRecord::Commit { txn: 1 });
+        wal.commit_wait(next).unwrap();
     }
 }
