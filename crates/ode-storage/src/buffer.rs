@@ -234,12 +234,19 @@ impl BufferPool {
         }
     }
 
-    fn load_locked(&self, inner: &mut PoolInner, id: PageId) -> Result<()> {
+    /// Run `f` on page `id`'s frame, reading the page in on a miss: one
+    /// probe of `frames` on a hit, one insert on a miss.
+    fn load_locked<R>(
+        &self,
+        inner: &mut PoolInner,
+        id: PageId,
+        f: impl FnOnce(&mut Frame) -> R,
+    ) -> Result<R> {
         if let Some(frame) = inner.frames.get_mut(&id) {
             frame.refbits = (frame.refbits + 1).min(MAX_REF);
             inner.hits += 1;
             self.metrics.buf_hits.inc();
-            return Ok(());
+            return Ok(f(frame));
         }
         inner.misses += 1;
         self.metrics.buf_misses.inc();
@@ -247,18 +254,15 @@ impl BufferPool {
             self.evict_one(inner)?;
         }
         let page = self.disk.read_page(id)?;
-        inner.frames.insert(
-            id,
-            Frame {
-                page,
-                dirty: false,
-                rec_lsn: 0,
-                refbits: 1,
-            },
-        );
         inner.clock.push(id);
         self.note_resident(1);
-        Ok(())
+        let frame = inner.frames.entry(id).or_insert(Frame {
+            page,
+            dirty: false,
+            rec_lsn: 0,
+            refbits: 1,
+        });
+        Ok(f(frame))
     }
 
     /// Make room for one frame. The hand sweeps, decrementing reference
@@ -325,9 +329,7 @@ impl BufferPool {
     /// Read access to a page.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
         let mut inner = self.lock_shard(id);
-        self.load_locked(&mut inner, id)?;
-        let frame = inner.frames.get_mut(&id).expect("just loaded");
-        Ok(f(&frame.page))
+        self.load_locked(&mut inner, id, |frame| f(&frame.page))
     }
 
     /// Write access to a page; marks the frame dirty, recording the WAL
@@ -336,18 +338,14 @@ impl BufferPool {
     /// bounds them).
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> Result<R> {
         let mut inner = self.lock_shard(id);
-        self.load_locked(&mut inner, id)?;
-        let rec_lsn = match &self.wal {
-            Some(wal) => wal.end_lsn(),
-            None => 0,
-        };
-        let frame = inner.frames.get_mut(&id).expect("just loaded");
-        if !frame.dirty {
-            frame.dirty = true;
-            frame.rec_lsn = rec_lsn;
-            self.note_dirty(1);
-        }
-        Ok(f(&mut frame.page))
+        self.load_locked(&mut inner, id, |frame| {
+            if !frame.dirty {
+                frame.dirty = true;
+                frame.rec_lsn = self.wal.as_ref().map_or(0, |wal| wal.end_lsn());
+                self.note_dirty(1);
+            }
+            f(&mut frame.page)
+        })
     }
 
     /// Allocate a fresh page on disk and cache it.

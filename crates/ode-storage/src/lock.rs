@@ -35,6 +35,18 @@
 //! the next detection pass sees the cycle already broken, so a cycle
 //! yields exactly one victim, same as the single-table manager.
 //!
+//! ## Footprints
+//!
+//! Each transaction's granted keys live in one list, its *footprint*,
+//! kept in a small shard array of its own keyed by transaction id.
+//! `lock` appends a key only on a *new* grant (an upgrade or a re-request
+//! of a held lock adds nothing), and only after it has dropped the stripe
+//! guard, so a re-request touches no footprint mutex at all.
+//! `unlock_all` takes the list out of its shard, drops that guard, and
+//! walks the list, visiting each key's stripe once. The ordering rule is
+//! therefore simple: a footprint mutex and a stripe mutex are never held
+//! together.
+//!
 //! ## Unlock ordering vs. durability
 //!
 //! Strict 2PL releases a transaction's locks at commit. With group commit
@@ -56,6 +68,7 @@ use crate::hash::{partition, IntMap, IntSet};
 use crate::txn::TxnId;
 use ode_obs::{FlightEvent, Metrics};
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -105,13 +118,10 @@ impl LockState {
 }
 
 /// One stripe's share of the lock table. Every map in here only holds
-/// entries whose key hashes to this stripe; `held` and `waiting` are
-/// keyed by transaction but store only this stripe's keys.
+/// entries whose key hashes to this stripe.
 #[derive(Default)]
 struct Tables {
     locks: IntMap<LockKey, LockState>,
-    /// Keys held per transaction (this stripe only), for O(held) release.
-    held: IntMap<TxnId, IntSet<LockKey>>,
     /// What each blocked transaction is currently waiting on (waiters
     /// register in the stripe of the key they wait for).
     waiting: IntMap<TxnId, (LockKey, LockMode)>,
@@ -151,22 +161,20 @@ enum Sweep {
     KeepWaiting,
 }
 
-/// One shard of the per-transaction stripe-footprint map: txn id →
-/// bitmask of stripes the transaction has requested locks in.
-type FootprintShard = Mutex<IntMap<TxnId, Vec<u64>>>;
+/// One shard of the per-transaction footprint map: txn id → every key
+/// granted to the transaction, each once.
+type FootprintShard = Mutex<IntMap<TxnId, Vec<LockKey>>>;
 
 /// The lock manager. See module docs for the striping design.
 pub struct LockManager {
     stripes: Box<[Stripe]>,
     /// `stripes.len() - 1`; stripe count is always a power of two.
     mask: usize,
-    /// Per-transaction bitmask of stripes it has requested locks in, so
-    /// [`LockManager::unlock_all`] visits only those stripes instead of
-    /// sweeping all of them on every commit. Striped by transaction id;
-    /// a transaction runs on one thread, so its entry (and the shard
-    /// mutex protecting it) stays core-local. Bits may be set for
-    /// requests that were never granted (deadlock victim, timeout) —
-    /// release then finds nothing there, which is harmless.
+    /// Per-transaction list of granted keys, so
+    /// [`LockManager::unlock_all`] releases exactly those instead of
+    /// sweeping stripes. Striped by transaction id; a transaction runs on
+    /// one thread, so its entry (and the shard mutex protecting it) stays
+    /// core-local.
     footprints: Box<[FootprintShard]>,
     /// `footprints.len() - 1`; always a power of two.
     fp_mask: usize,
@@ -245,15 +253,14 @@ impl LockManager {
         }
     }
 
-    /// Record that `txn` is about to request a lock in stripe `idx`.
-    /// Must be called *before* taking the stripe guard: a footprint shard
-    /// may be locked while stripe guards are held (`unlock_all` drops its
-    /// footprint guard before touching stripes), never the other way.
-    fn note_stripe(&self, txn: TxnId, idx: usize) {
-        let words = self.stripes.len().div_ceil(64);
-        let mut shard = self.footprints[txn.0 as usize & self.fp_mask].lock();
-        let mask = shard.entry(txn).or_insert_with(|| vec![0u64; words]);
-        mask[idx / 64] |= 1 << (idx % 64);
+    /// Record a new grant of `key` to `txn`. Called with no stripe guard
+    /// held: footprint and stripe mutexes are never nested.
+    fn note_grant(&self, txn: TxnId, key: LockKey) {
+        self.footprints[txn.0 as usize & self.fp_mask]
+            .lock()
+            .entry(txn)
+            .or_default()
+            .push(key);
     }
 
     /// Acquire `key` in `mode` for `txn`, blocking if necessary.
@@ -265,21 +272,24 @@ impl LockManager {
             LockMode::Exclusive => &self.metrics.lock_exclusive_acquisitions,
         };
         let idx = self.stripe_of(&key);
-        self.note_stripe(txn, idx);
-        let wait_span = {
+        let (held, wait_span) = {
             let mut tables = self.lock_stripe(idx);
-            if let Some(&held) = tables.locks.get(&key).and_then(|s| s.holders.get(&txn)) {
+            // An absent key gets an empty state, which is compatible with
+            // any request and so is granted below: no empty state stays.
+            let state = tables.locks.entry(key).or_default();
+            let held = state.holders.get(&txn).copied();
+            if let Some(held) = held {
                 if held >= mode {
                     return Ok(());
                 }
                 self.metrics.lock_upgrades.inc();
             }
-            if tables
-                .locks
-                .get(&key)
-                .is_none_or(|s| s.compatible(txn, mode))
-            {
-                Self::grant(&mut tables, txn, key, mode);
+            if state.compatible(txn, mode) {
+                state.holders.insert(txn, mode);
+                drop(tables);
+                if held.is_none() {
+                    self.note_grant(txn, key);
+                }
                 self.metrics.lock_immediate_grants.inc();
                 acquired.inc();
                 return Ok(());
@@ -300,7 +310,7 @@ impl LockManager {
                 exclusive: mode == LockMode::Exclusive,
             });
             tables.waiting.insert(txn, (key, mode));
-            wait_span
+            (held, wait_span)
         };
 
         let started = Instant::now();
@@ -361,23 +371,22 @@ impl LockManager {
         drop(wait_span);
         let waited = started.elapsed().as_micros() as u64;
         self.metrics.lock_wait_micros.record(waited);
+        if result.is_ok() && held.is_none() {
+            self.note_grant(txn, key);
+        }
         result
     }
 
     /// If the blocked request became grantable, grant it and clear its
     /// wait entry (all under the caller's stripe guard).
     fn try_grant_waiter(tables: &mut Tables, txn: TxnId, key: LockKey, mode: LockMode) -> bool {
-        if tables
-            .locks
-            .get(&key)
-            .is_none_or(|s| s.compatible(txn, mode))
-        {
-            Self::grant(tables, txn, key, mode);
-            tables.waiting.remove(&txn);
-            true
-        } else {
-            false
+        let state = tables.locks.entry(key).or_default();
+        if !state.compatible(txn, mode) {
+            return false;
         }
+        state.holders.insert(txn, mode);
+        tables.waiting.remove(&txn);
+        true
     }
 
     /// One detection pass for a blocked request: acquire *every* stripe in
@@ -430,12 +439,6 @@ impl LockManager {
         out
     }
 
-    fn grant(tables: &mut Tables, txn: TxnId, key: LockKey, mode: LockMode) {
-        let state = tables.locks.entry(key).or_default();
-        state.holders.insert(txn, mode);
-        tables.held.entry(txn).or_default().insert(key);
-    }
-
     /// The mode `txn` holds on `key`, if any.
     pub fn held(&self, txn: TxnId, key: LockKey) -> Option<LockMode> {
         self.lock_stripe(self.stripe_of(&key))
@@ -449,42 +452,30 @@ impl LockManager {
     /// Returns the number of locks released. See the module docs for how
     /// this ordering relates to commit durability.
     pub fn unlock_all(&self, txn: TxnId) -> usize {
-        // Pop the footprint first and *drop the shard guard* before
-        // touching any stripe (see note_stripe for the ordering rule).
-        // Only the stripes the transaction actually requested locks in
-        // are visited — release stays O(own stripes), not O(all stripes).
-        let Some(mask) = self.footprints[txn.0 as usize & self.fp_mask]
+        // Take the key list and drop the shard guard before touching any
+        // stripe (see note_grant for the ordering rule).
+        let Some(keys) = self.footprints[txn.0 as usize & self.fp_mask]
             .lock()
             .remove(&txn)
         else {
             return 0;
         };
         let mut released = 0;
-        for idx in mask.iter().enumerate().flat_map(|(w, bits)| {
-            (0..64)
-                .filter(move |b| bits & (1 << b) != 0)
-                .map(move |b| w * 64 + b)
-        }) {
-            let stripe = &self.stripes[idx];
+        for key in keys {
+            let idx = self.stripe_of(&key);
             let mut tables = self.lock_stripe(idx);
-            let Some(keys) = tables.held.remove(&txn) else {
+            let Entry::Occupied(mut state) = tables.locks.entry(key) else {
                 continue;
             };
-            let mut freed_any = false;
-            for key in keys {
-                if let Some(state) = tables.locks.get_mut(&key) {
-                    state.holders.remove(&txn);
-                    released += 1;
-                    freed_any = true;
-                    if state.holders.is_empty() {
-                        tables.locks.remove(&key);
-                    }
-                }
+            if state.get_mut().holders.remove(&txn).is_none() {
+                continue;
+            }
+            released += 1;
+            if state.get().holders.is_empty() {
+                state.remove();
             }
             drop(tables);
-            if freed_any {
-                stripe.cv.notify_all();
-            }
+            self.stripes[idx].cv.notify_all();
         }
         released
     }
@@ -856,6 +847,63 @@ mod tests {
             used.len(),
             lm.stripe_count()
         );
+    }
+
+    #[test]
+    fn a_released_lock_wakes_its_sleeping_waiter_at_once() {
+        // The waiter sleeps on its stripe with a 20 ms poll. 50 handoffs
+        // must take far less than 50 polls, or the release skipped a wake.
+        const HANDOFFS: u32 = 50;
+        let lm = Arc::new(LockManager::default());
+        let started = Instant::now();
+        for i in 0..HANDOFFS as u64 {
+            let (holder, waiter) = (TxnId(100 + 2 * i), TxnId(101 + 2 * i));
+            lm.lock(holder, key(i), LockMode::Exclusive).unwrap();
+            let waits = lm.stats().waits;
+            let handle = {
+                let lm = Arc::clone(&lm);
+                std::thread::spawn(move || lm.lock(waiter, key(i), LockMode::Exclusive))
+            };
+            while lm.stats().waits == waits {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(2));
+            assert_eq!(lm.unlock_all(holder), 1);
+            handle.join().unwrap().unwrap();
+            assert_eq!(lm.unlock_all(waiter), 1);
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(20) * HANDOFFS / 2,
+            "{HANDOFFS} lock handoffs took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn footprint_lists_each_granted_key_once() {
+        // Re-requests and upgrades add nothing to the footprint; a refused
+        // request adds nothing either. Release counts each key once.
+        let lm = LockManager::with_config(Duration::from_millis(50), Arc::new(Metrics::new()), 4);
+        for _ in 0..3 {
+            lm.lock(T1, key(1), LockMode::Shared).unwrap();
+            lm.lock(T1, key(2), LockMode::Exclusive).unwrap();
+        }
+        lm.lock(T1, key(1), LockMode::Exclusive).unwrap();
+        lm.lock(T2, key(3), LockMode::Shared).unwrap();
+        assert!(lm.lock(T2, key(2), LockMode::Shared).is_err());
+        let listed = |t: TxnId| {
+            lm.footprints[t.0 as usize & lm.fp_mask]
+                .lock()
+                .get(&t)
+                .cloned()
+                .unwrap_or_default()
+        };
+        assert_eq!(listed(T1), vec![key(1), key(2)]);
+        assert_eq!(listed(T2), vec![key(3)]);
+        assert_eq!(lm.unlock_all(T1), 2);
+        assert_eq!(lm.unlock_all(T1), 0);
+        assert_eq!(lm.unlock_all(T2), 1);
+        assert!(lm.stripes.iter().all(|s| s.tables.lock().locks.is_empty()));
     }
 
     #[test]

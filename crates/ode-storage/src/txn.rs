@@ -573,6 +573,34 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_dependency_wakes_its_sleeping_waiter_at_once() {
+        // The waiter sleeps on the dependency's stripe with a 20 ms poll.
+        // 50 handoffs must take far less than 50 polls, or `finish`
+        // skipped a wake.
+        const HANDOFFS: u32 = 50;
+        let tm = Arc::new(TxnManager::default());
+        let started = Instant::now();
+        for _ in 0..HANDOFFS {
+            let a = tm.begin(false);
+            let b = tm.begin(true);
+            tm.add_dependency(b, a).unwrap();
+            let handle = {
+                let tm = Arc::clone(&tm);
+                std::thread::spawn(move || tm.await_dependencies(b))
+            };
+            std::thread::sleep(Duration::from_millis(2));
+            tm.finish(a, TxnState::Committed).unwrap();
+            handle.join().unwrap().unwrap();
+            tm.finish(b, TxnState::Committed).unwrap();
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(20) * HANDOFFS / 2,
+            "{HANDOFFS} dependency handoffs took {elapsed:?}"
+        );
+    }
+
+    #[test]
     fn dependency_waits_across_stripes() {
         // Dependency resolution must work when txn and dependency live in
         // different stripes (ids differ in the low bits).

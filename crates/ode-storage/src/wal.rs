@@ -289,6 +289,10 @@ const WAL_MAGIC: &[u8; 8] = b"ODEWAL\0\x01";
 /// Bytes of file header before the first frame: magic + `base_lsn` (LE).
 const WAL_HEADER: u64 = 16;
 
+/// Largest flush buffer kept for reuse: a one-off bulk batch gives its
+/// memory back instead of pinning it.
+const MAX_SPARE: usize = 64 << 10;
+
 fn encode_header(base_lsn: u64) -> [u8; WAL_HEADER as usize] {
     let mut h = [0u8; WAL_HEADER as usize];
     h[..8].copy_from_slice(WAL_MAGIC);
@@ -323,6 +327,10 @@ struct FlushState {
     flushed_lsn: u64,
     /// A committer is currently writing a batch; others wait on the condvar.
     leader_active: bool,
+    /// The buffer the last batch was written from, emptied: the next
+    /// leader swaps it in as the tail's `pending`, so the two buffers'
+    /// capacity survives every flush.
+    spare: Vec<u8>,
     /// Set on the first failed WAL write/fsync; sticky until reopen.
     poisoned: Option<String>,
 }
@@ -386,15 +394,13 @@ impl Wal {
                 // Empty file, or a header torn mid-create: nothing after
                 // it can be a valid frame, so initialize a fresh log.
                 file.set_len(0)?;
-                file.seek(SeekFrom::Start(0))?;
-                file.write_all(&encode_header(0))?;
+                file.write_all_at(&encode_header(0), 0)?;
                 if fsync {
                     file.sync_data()?;
                 }
                 (0, 0)
             }
         };
-        file.seek(SeekFrom::End(0))?;
         Ok(Wal {
             path: path.to_path_buf(),
             tail: Mutex::new(WalTail {
@@ -406,6 +412,7 @@ impl Wal {
             flush: Mutex::new(FlushState {
                 flushed_lsn: base + valid,
                 leader_active: false,
+                spare: Vec::new(),
                 poisoned: None,
             }),
             durable: Condvar::new(),
@@ -510,18 +517,20 @@ impl Wal {
             // while doing I/O so appenders and new waiters are not blocked
             // behind the fsync.
             st.leader_active = true;
+            let mut batch = std::mem::take(&mut st.spare);
             drop(st);
-            let (batch, end, commits) = {
+            let (end, commits) = {
                 let mut tail = self.tail.lock();
-                (
-                    std::mem::take(&mut tail.pending),
-                    tail.next_lsn,
-                    std::mem::take(&mut tail.pending_commits),
-                )
+                std::mem::swap(&mut tail.pending, &mut batch);
+                (tail.next_lsn, std::mem::take(&mut tail.pending_commits))
             };
-            let io = self.write_batch(&batch);
+            let io = self.write_batch(end - batch.len() as u64, &batch);
             st = self.flush.lock();
             st.leader_active = false;
+            if batch.capacity() <= MAX_SPARE {
+                batch.clear();
+                st.spare = batch;
+            }
             match io {
                 Ok(()) => {
                     st.flushed_lsn = st.flushed_lsn.max(end);
@@ -552,11 +561,14 @@ impl Wal {
         }
     }
 
-    fn write_batch(&self, batch: &[u8]) -> std::io::Result<()> {
-        let mut file = self.file.lock();
+    /// Write `batch`, the log bytes from LSN `start` on, in place: the
+    /// file holds exactly the header and the frames below `start`, since
+    /// only the one active leader writes and `base_lsn` moves only while
+    /// no leader is.
+    fn write_batch(&self, start: u64, batch: &[u8]) -> std::io::Result<()> {
+        let file = self.file.lock();
         if !batch.is_empty() {
-            file.seek(SeekFrom::End(0))?;
-            file.write_all(batch)?;
+            file.write_all_at(batch, WAL_HEADER + (start - self.base_lsn()))?;
         }
         if self.fsync {
             let t0 = std::time::Instant::now();
@@ -630,9 +642,7 @@ impl Wal {
             .read(true)
             .write(true)
             .open(&self.path)?;
-        let mut reopened = FaultFile::new(reopened, self.injector.clone());
-        reopened.seek(SeekFrom::End(0))?;
-        *file = reopened;
+        *file = FaultFile::new(reopened, self.injector.clone());
         self.base_lsn
             .store(base, std::sync::atomic::Ordering::Relaxed);
         Ok(())
@@ -903,6 +913,125 @@ mod tests {
             ]
         );
         assert_eq!(wal.end_lsn(), d);
+    }
+
+    #[test]
+    fn flushes_after_truncate_and_reset_land_at_their_lsns() {
+        // Each flush writes its batch at the file offset its LSN names.
+        // After the file's prefix moves (truncate) or the file is replaced
+        // (reset), later flushes must land right behind what the new file
+        // holds, and read back at their own LSNs after a reopen.
+        let dir = TempDir::new("wal");
+        let path = dir.file("log");
+        let wal = Wal::open(&path, false).unwrap();
+        let a = wal.append(&LogRecord::Begin { txn: 1 });
+        let b = wal.append(&LogRecord::Commit { txn: 1 });
+        wal.flush().unwrap();
+        wal.truncate_prefix(a).unwrap();
+        let c = wal.append(&LogRecord::Begin { txn: 2 });
+        wal.flush().unwrap();
+        let d = wal.append(&LogRecord::Commit { txn: 2 });
+        wal.flush().unwrap();
+        drop(wal);
+        assert_eq!(
+            Wal::read_all(&path).unwrap(),
+            vec![
+                (b, LogRecord::Commit { txn: 1 }),
+                (c, LogRecord::Begin { txn: 2 }),
+                (d, LogRecord::Commit { txn: 2 })
+            ]
+        );
+        let wal = Wal::open(&path, false).unwrap();
+        assert_eq!(wal.end_lsn(), d);
+        wal.reset().unwrap();
+        let e = wal.append(&LogRecord::Begin { txn: 3 });
+        wal.flush().unwrap();
+        let f = wal.append(&LogRecord::Commit { txn: 3 });
+        wal.flush().unwrap();
+        drop(wal);
+        let wal = Wal::open(&path, false).unwrap();
+        assert_eq!(wal.base_lsn(), d);
+        assert_eq!(wal.end_lsn(), f);
+        // And a flush after the reopen continues the same file.
+        let g = wal.append(&LogRecord::Begin { txn: 4 });
+        wal.flush().unwrap();
+        assert_eq!(
+            Wal::read_all(&path).unwrap(),
+            vec![
+                (e, LogRecord::Begin { txn: 3 }),
+                (f, LogRecord::Commit { txn: 3 }),
+                (g, LogRecord::Begin { txn: 4 })
+            ]
+        );
+    }
+
+    #[test]
+    fn a_torn_flush_is_truncated_at_open() {
+        let dir = TempDir::new("wal");
+        let path = dir.file("log");
+        let injector = Arc::new(crate::fault::FaultInjector::new());
+        let wal = Wal::open_with(&path, false, Some(Arc::clone(&injector))).unwrap();
+        let a = wal.append(&LogRecord::Begin { txn: 1 });
+        wal.flush().unwrap();
+        let clean_len = wal.file_len().unwrap();
+        wal.append(&LogRecord::CellInsert {
+            txn: 1,
+            page: 3,
+            slot: 0,
+            data: vec![7; 64],
+        });
+        injector.arm_write_cap(5);
+        assert!(matches!(wal.flush(), Err(StorageError::WalPoisoned(_))));
+        drop(wal);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len + 5);
+        let wal = Wal::open(&path, false).unwrap();
+        assert_eq!(wal.file_len().unwrap(), clean_len, "tear left in place");
+        assert_eq!(wal.end_lsn(), a);
+        let b = wal.append(&LogRecord::Commit { txn: 1 });
+        wal.flush().unwrap();
+        assert_eq!(
+            Wal::read_all(&path).unwrap(),
+            vec![
+                (a, LogRecord::Begin { txn: 1 }),
+                (b, LogRecord::Commit { txn: 1 })
+            ]
+        );
+    }
+
+    #[test]
+    fn a_flushing_leader_wakes_its_sleeping_follower_at_once() {
+        // A follower sleeps on the watermark with a 50 ms poll. Hold the
+        // file so the leader stalls mid-flush, let the follower go to
+        // sleep, then release: 50 handoffs must take far less than 50
+        // polls, or a wake-up was skipped.
+        const HANDOFFS: u32 = 50;
+        let dir = TempDir::new("wal");
+        let wal = Arc::new(Wal::open(&dir.file("log"), false).unwrap());
+        let started = std::time::Instant::now();
+        for t in 0..HANDOFFS {
+            let lsn = wal.append(&LogRecord::Commit { txn: t as u64 });
+            let file = wal.file.lock();
+            let leader = {
+                let wal = Arc::clone(&wal);
+                std::thread::spawn(move || wal.commit_wait(lsn))
+            };
+            while !wal.flush.lock().leader_active {
+                std::thread::yield_now();
+            }
+            let follower = {
+                let wal = Arc::clone(&wal);
+                std::thread::spawn(move || wal.commit_wait(lsn))
+            };
+            std::thread::sleep(Duration::from_millis(2));
+            drop(file);
+            leader.join().unwrap().unwrap();
+            follower.join().unwrap().unwrap();
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(50) * HANDOFFS / 2,
+            "{HANDOFFS} follower handoffs took {elapsed:?}"
+        );
     }
 
     #[test]
