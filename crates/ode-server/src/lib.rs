@@ -53,12 +53,28 @@
 //! reply — N connections × 1 fsync becomes 1 fsync per scheduler round
 //! (see `DESIGN.md`, "Wire batching & commit piggybacking").
 //!
+//! ## Frame I/O
+//!
+//! Each connection owns two buffers. Inbound, a [`BufReader`] over the
+//! socket feeds one reused payload buffer: a request that arrived in one
+//! segment is one `recv`, its length prefix is checked against
+//! [`MAX_FRAME`] before the payload buffer may grow, its UTF-8 is
+//! validated in place, and the statements of a batch frame are borrowed
+//! as `&str` slices of that buffer. Outbound, every reply — the `AUTH`
+//! answer, a v1 reply, a batch reply, the oversized-frame `ERR` — is
+//! encoded behind a 4-byte length placeholder that is patched in place,
+//! and the whole frame leaves with one `write_all`: one `send`, one TCP
+//! segment. A steady-state v1 round trip therefore costs the server one
+//! `recv` and one `send`. Both buffers are reused from frame to frame; a
+//! frame larger than 64 KiB gives its memory back once it is done with,
+//! so an idle connection does not pin its largest frame.
+//!
 //! No async runtime: blocking std sockets and one OS thread per
 //! connection, which matches the engine's thread-per-transaction
 //! concurrency model (striped 2PL underneath).
 
 use ode_core::{Engine, PendingCommit, Session};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -80,16 +96,18 @@ pub const BATCH_CONTINUE: u8 = 0;
 /// `ERR batch aborted`.
 pub const BATCH_ABORT: u8 = 1;
 
-/// One inbound frame, as the server's read loop sees it.
-enum Frame {
+/// One inbound frame, as the server's read loop sees it. Text borrows
+/// the connection's payload buffer.
+#[derive(Debug)]
+enum Frame<'a> {
     /// A complete v1 single-statement frame.
-    Msg(String),
+    Msg(&'a str),
     /// A complete v2 batch frame.
     Batch {
         /// [`BATCH_ABORT`] was requested.
         abort_on_error: bool,
         /// The statements, in execution order.
-        stmts: Vec<String>,
+        stmts: Vec<&'a str>,
     },
     /// The length prefix exceeded [`MAX_FRAME`] — nothing was allocated
     /// and the payload was not read, so the stream cannot be resynced.
@@ -98,36 +116,50 @@ enum Frame {
     Eof,
 }
 
-/// Read one length-prefixed frame without trusting the length prefix:
-/// an oversized claim is reported before any allocation happens, so a
-/// hostile 4 GiB prefix costs four bytes of reading, not an OOM.
-fn read_frame_bounded(stream: &mut impl Read) -> std::io::Result<Frame> {
-    let mut len = [0u8; 4];
-    match stream.read_exact(&mut len) {
+/// Payload capacity a connection keeps between frames: a one-off large
+/// frame gives its memory back instead of pinning it while the
+/// connection idles.
+const SPARE_CAPACITY: usize = 64 << 10;
+
+/// Read one frame into `payload` without trusting its length prefix: an
+/// oversized claim is reported before `payload` can grow, so a hostile
+/// 4 GiB prefix costs four bytes of reading, not an OOM. The server's
+/// buffered connection reader and [`read_frame`] both read through here.
+fn read_frame_bounded<'a>(
+    stream: &mut impl Read,
+    payload: &'a mut Vec<u8>,
+) -> std::io::Result<Frame<'a>> {
+    payload.clear();
+    payload.shrink_to(SPARE_CAPACITY);
+    let mut prefix = [0u8; 4];
+    match stream.read_exact(&mut prefix) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(Frame::Eof),
         Err(e) => return Err(e),
     }
-    let len = u32::from_le_bytes(len);
+    let len = u32::from_le_bytes(prefix);
     if len > MAX_FRAME {
         return Ok(Frame::Oversized(len));
     }
-    let mut buf = vec![0u8; len as usize];
-    stream.read_exact(&mut buf)?;
-    if buf.first() == Some(&BATCH_MAGIC) {
-        return decode_batch(&buf);
+    // Exact growth, so the capacity never exceeds MAX_FRAME. Reading into
+    // the whole payload at once lets a buffered reader hand a frame larger
+    // than its own buffer straight to one `read` of the stream.
+    payload.reserve_exact(len as usize);
+    payload.resize(len as usize, 0);
+    stream.read_exact(payload)?;
+    if payload.first() == Some(&BATCH_MAGIC) {
+        return decode_batch(payload);
     }
-    match String::from_utf8(buf) {
-        Ok(s) => Ok(Frame::Msg(s)),
-        Err(e) => Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
-    }
+    std::str::from_utf8(payload)
+        .map(Frame::Msg)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// Decode a v2 batch payload (`buf[0]` is already known to be
 /// [`BATCH_MAGIC`]). Every length inside the frame is re-checked against
 /// the actual byte count — the outer [`MAX_FRAME`] bound caps total
 /// allocation, and a hostile inner count cannot over-allocate past it.
-fn decode_batch(buf: &[u8]) -> std::io::Result<Frame> {
+fn decode_batch(buf: &[u8]) -> std::io::Result<Frame<'_>> {
     let bad = |what: &str| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -161,7 +193,7 @@ fn decode_batch(buf: &[u8]) -> std::io::Result<Frame> {
             return Err(bad("truncated statement"));
         }
         let stmt = std::str::from_utf8(&rest[..n]).map_err(|_| bad("statement is not UTF-8"))?;
-        stmts.push(stmt.to_string());
+        stmts.push(stmt);
         rest = &rest[n..];
     }
     if !rest.is_empty() {
@@ -173,9 +205,8 @@ fn decode_batch(buf: &[u8]) -> std::io::Result<Frame> {
     })
 }
 
-/// Encode a v2 batch *reply* payload into `out` (cleared first).
+/// Encode a v2 batch *reply* payload into `out`.
 fn encode_batch_reply(replies: &[String], out: &mut Vec<u8>) {
-    out.clear();
     out.push(BATCH_MAGIC);
     out.extend_from_slice(&(replies.len() as u32).to_le_bytes());
     for reply in replies {
@@ -184,18 +215,47 @@ fn encode_batch_reply(replies: &[String], out: &mut Vec<u8>) {
     }
 }
 
-/// Write one length-prefixed frame with an arbitrary byte payload.
-fn write_frame_bytes(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+/// The outbound half of a connection: one reused buffer holding a length
+/// placeholder and the payload encoded behind it, sent with one
+/// `write_all` — one `send`, one TCP segment.
+#[derive(Default)]
+struct FrameWriter {
+    buf: Vec<u8>,
 }
 
-/// Read one length-prefixed frame. `Ok(None)` on clean EOF at a frame
-/// boundary.
+impl FrameWriter {
+    /// Start a new frame; the payload is appended to the returned buffer.
+    fn begin(&mut self) -> &mut Vec<u8> {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; 4]);
+        &mut self.buf
+    }
+
+    /// Patch the length prefix and write the whole frame. A reply larger
+    /// than [`SPARE_CAPACITY`] gives its memory back once it is sent.
+    fn send(&mut self, stream: &mut impl Write) -> std::io::Result<()> {
+        let len = (self.buf.len() - 4) as u32;
+        self.buf[..4].copy_from_slice(&len.to_le_bytes());
+        let sent = stream.write_all(&self.buf).and_then(|()| stream.flush());
+        self.buf.clear();
+        self.buf.shrink_to(SPARE_CAPACITY);
+        sent
+    }
+
+    /// Write one text frame.
+    fn send_text(&mut self, stream: &mut impl Write, text: &str) -> std::io::Result<()> {
+        self.begin().extend_from_slice(text.as_bytes());
+        self.send(stream)
+    }
+}
+
+/// Read one length-prefixed text frame from a stream the caller owns,
+/// consuming exactly that frame's bytes. `Ok(None)` on clean EOF at a
+/// frame boundary.
 pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<String>> {
-    match read_frame_bounded(stream)? {
-        Frame::Msg(s) => Ok(Some(s)),
+    let mut payload = Vec::new();
+    match read_frame_bounded(stream, &mut payload)? {
+        Frame::Msg(s) => Ok(Some(s.to_string())),
         Frame::Eof => Ok(None),
         Frame::Oversized(len) => Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -208,11 +268,9 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<String>> {
     }
 }
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed text frame with one `write_all`.
 pub fn write_frame(stream: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(payload.as_bytes())?;
-    stream.flush()
+    FrameWriter::default().send_text(stream, payload)
 }
 
 /// Compare a presented auth token against the expected one in time
@@ -418,6 +476,7 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    stream.set_nodelay(true).ok();
                     let engine = Arc::clone(&engine);
                     let token = token.clone();
                     let piggyback = Arc::clone(&piggyback);
@@ -469,44 +528,47 @@ impl Drop for Server {
 
 /// Drive one connection: auth handshake, then statement frames until QUIT
 /// or EOF.
-fn serve_connection(
-    mut stream: TcpStream,
+fn serve_connection<S: Read + Write>(
+    stream: S,
     engine: Arc<Engine>,
     token: &str,
     options: ServerOptions,
     piggyback: Arc<Piggyback>,
 ) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    match read_frame_bounded(&mut stream)? {
+    // Requests are read through a buffer, so pipelined frames that arrive
+    // together cost one `read`; replies go to the stream itself.
+    let mut stream = BufReader::new(stream);
+    let mut payload = Vec::new();
+    let mut out = FrameWriter::default();
+    match read_frame_bounded(&mut stream, &mut payload)? {
         Frame::Msg(frame)
             if frame
                 .strip_prefix("AUTH ")
                 .is_some_and(|t| token_eq(t, token)) =>
         {
-            write_frame(&mut stream, "OK")?;
+            out.send_text(stream.get_mut(), "OK")?;
         }
         Frame::Oversized(len) => {
-            reject_oversized(&mut stream, &engine, len);
+            reject_oversized(&mut out, stream.get_mut(), &engine, len);
             return Ok(());
         }
         Frame::Msg(_) | Frame::Batch { .. } | Frame::Eof => {
-            let _ = write_frame(&mut stream, "ERR bad token");
+            let _ = out.send_text(stream.get_mut(), "ERR bad token");
             return Ok(());
         }
     }
     let mut session = engine.session();
     session.set_defer_commits(options.piggyback);
-    let mut reply_buf = Vec::new();
     loop {
-        match read_frame_bounded(&mut stream)? {
+        match read_frame_bounded(&mut stream, &mut payload)? {
             Frame::Msg(frame) => {
                 let stmt = frame.trim();
                 if stmt.eq_ignore_ascii_case("quit") {
-                    write_frame(&mut stream, "OK")?;
+                    out.send_text(stream.get_mut(), "OK")?;
                     break;
                 }
                 if stmt.is_empty() || stmt.starts_with("--") {
-                    write_frame(&mut stream, "OK")?;
+                    out.send_text(stream.get_mut(), "OK")?;
                     continue;
                 }
                 let mut reply = run_statement(&mut session, stmt);
@@ -515,21 +577,21 @@ fn serve_connection(
                         reply = format!("ERR commit durability failed: {e}");
                     }
                 }
-                write_frame(&mut stream, &reply)?;
+                out.send_text(stream.get_mut(), &reply)?;
             }
             Frame::Batch {
                 abort_on_error,
                 stmts,
             } => {
                 let replies = run_batch(&mut session, &engine, &piggyback, abort_on_error, &stmts);
-                encode_batch_reply(&replies, &mut reply_buf);
-                write_frame_bytes(&mut stream, &reply_buf)?;
+                encode_batch_reply(&replies, out.begin());
+                out.send(stream.get_mut())?;
             }
             Frame::Eof => break,
             Frame::Oversized(len) => {
                 // The payload was never read, so the framing cannot be
                 // resynced: report and close rather than allocate.
-                reject_oversized(&mut stream, &engine, len);
+                reject_oversized(&mut out, stream.get_mut(), &engine, len);
                 break;
             }
         }
@@ -559,7 +621,7 @@ fn run_batch(
     engine: &Engine,
     piggyback: &Piggyback,
     abort_on_error: bool,
-    stmts: &[String],
+    stmts: &[&str],
 ) -> Vec<String> {
     engine
         .stats()
@@ -624,12 +686,12 @@ fn run_batch(
 
 /// Count and report an oversized inbound frame, then let the caller
 /// close the connection.
-fn reject_oversized(stream: &mut TcpStream, engine: &Engine, len: u32) {
+fn reject_oversized(out: &mut FrameWriter, stream: &mut impl Write, engine: &Engine, len: u32) {
     engine
         .stats()
         .frames_oversized
         .fetch_add(1, Ordering::Relaxed);
-    let _ = write_frame(
+    let _ = out.send_text(
         stream,
         &format!("ERR frame of {len} bytes exceeds the {MAX_FRAME} byte limit"),
     );
@@ -1119,6 +1181,349 @@ mod tests {
         assert_eq!(seen, 40);
         assert_eq!(c.exec(&format!("GET {oid} v")), "40");
         server.shutdown();
+    }
+
+    /// `payload` behind its little-endian `u32` length prefix.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// A v2 batch request payload.
+    fn batch_payload(stmts: &[&str], abort_on_error: bool) -> Vec<u8> {
+        let mut out = vec![BATCH_MAGIC, u8::from(abort_on_error)];
+        out.extend_from_slice(&(stmts.len() as u32).to_le_bytes());
+        for stmt in stmts {
+            out.extend_from_slice(&(stmt.len() as u32).to_le_bytes());
+            out.extend_from_slice(stmt.as_bytes());
+        }
+        out
+    }
+
+    /// A client scripted in memory: reads come from `input`, and every
+    /// `write` call the server makes is recorded whole.
+    struct Scripted {
+        input: std::io::Cursor<Vec<u8>>,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Scripted {
+        fn new(frames: &[Vec<u8>]) -> Scripted {
+            Scripted {
+                input: std::io::Cursor::new(frames.concat()),
+                writes: Vec::new(),
+            }
+        }
+
+        /// Serve the script on one connection; returns each write's
+        /// payload after checking that the write is exactly one frame.
+        fn serve(mut self, engine: &Arc<Engine>) -> Vec<Vec<u8>> {
+            let piggyback = Arc::new(Piggyback::new());
+            let options = ServerOptions::default();
+            serve_connection(&mut self, Arc::clone(engine), "t", options, piggyback).unwrap();
+            self.writes
+                .into_iter()
+                .map(|w| {
+                    assert!(w.len() >= 4, "a bare fragment: {w:?}");
+                    let len = u32::from_le_bytes(w[..4].try_into().unwrap()) as usize;
+                    assert_eq!(w.len(), 4 + len, "one write is one whole frame");
+                    w[4..].to_vec()
+                })
+                .collect()
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_kind_is_one_write_of_one_whole_frame() {
+        let engine = Engine::volatile();
+        let text = |s: &str| framed(s.as_bytes());
+        let script = [
+            text("AUTH t"),
+            text("CREATE DATABASE d"),
+            text("CREATE DATABASE e"),
+            text("USE d"),
+            text("CREATE CLASS A { FIELD x = 3; }"),
+            text("NEW A"),
+            text("SHOW DATABASES"),
+            text("GARBAGE"),
+            text("-- a comment"),
+            framed(&batch_payload(&["NEW A", "GARBAGE", "QUIT"], false)),
+            0xFFFF_FFFF_u32.to_le_bytes().to_vec(),
+        ];
+        let replies = Scripted::new(&script).serve(&engine);
+        let replies: Vec<String> = replies
+            .iter()
+            .map(|r| String::from_utf8_lossy(r).into_owned())
+            .collect();
+        assert_eq!(replies.len(), 11, "{replies:?}");
+        assert_eq!(replies[..5], ["OK", "OK", "OK", "OK", "OK"]);
+        assert!(replies[5].starts_with("OK "), "single-line payload");
+        assert_eq!(replies[6], "OK\nd\ne", "multi-line payload");
+        assert!(replies[7].starts_with("ERR at byte 0"), "{}", replies[7]);
+        assert_eq!(replies[8], "OK");
+        assert_eq!(replies[9].as_bytes()[0], BATCH_MAGIC, "batch reply");
+        assert!(replies[9].contains("ERR QUIT is not allowed inside a batch"));
+        assert_eq!(
+            replies[10],
+            "ERR frame of 4294967295 bytes exceeds the 1048576 byte limit"
+        );
+
+        let replies = Scripted::new(&[text("AUTH t"), text("QUIT")]).serve(&engine);
+        assert_eq!(replies, [b"OK".to_vec(), b"OK".to_vec()]);
+        let replies = Scripted::new(&[text("AUTH wrong")]).serve(&engine);
+        assert_eq!(replies, [b"ERR bad token".to_vec()]);
+        let replies = Scripted::new(&[0xdead_beef_u32.to_le_bytes().to_vec()]).serve(&engine);
+        assert_eq!(replies.len(), 1);
+        assert!(replies[0].starts_with(b"ERR frame of 3735928559 bytes"));
+    }
+
+    /// A reader that counts its `read` calls.
+    struct CountingReader {
+        input: std::io::Cursor<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for CountingReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.input.read(buf)
+        }
+    }
+
+    #[test]
+    fn pipelined_frames_are_decoded_from_one_read() {
+        let input = [
+            framed(b"GET 1 x"),
+            framed(b"NEW A"),
+            framed(&batch_payload(&["BEGIN", "COMMIT"], true)),
+        ]
+        .concat();
+        let mut counting = CountingReader {
+            input: std::io::Cursor::new(input),
+            reads: 0,
+        };
+        let mut reader = BufReader::new(&mut counting);
+        let mut payload = Vec::new();
+        assert!(matches!(
+            read_frame_bounded(&mut reader, &mut payload).unwrap(),
+            Frame::Msg("GET 1 x")
+        ));
+        assert!(matches!(
+            read_frame_bounded(&mut reader, &mut payload).unwrap(),
+            Frame::Msg("NEW A")
+        ));
+        match read_frame_bounded(&mut reader, &mut payload).unwrap() {
+            Frame::Batch {
+                abort_on_error,
+                stmts,
+            } => {
+                assert!(abort_on_error);
+                assert_eq!(stmts, ["BEGIN", "COMMIT"]);
+            }
+            other => panic!("expected a batch, got {other:?}"),
+        }
+        drop(reader);
+        assert_eq!(counting.reads, 1);
+
+        // A frame larger than the 8 KiB read buffer: one read fills the
+        // buffer with the prefix and the payload's head, and the rest of
+        // the payload arrives with one read straight into the payload.
+        let big = "x".repeat(3 << 13);
+        let mut counting = CountingReader {
+            input: std::io::Cursor::new(framed(big.as_bytes())),
+            reads: 0,
+        };
+        let mut reader = BufReader::new(&mut counting);
+        let mut payload = Vec::new();
+        assert!(
+            matches!(read_frame_bounded(&mut reader, &mut payload).unwrap(), Frame::Msg(s) if s == big)
+        );
+        drop(reader);
+        assert_eq!(counting.reads, 2);
+    }
+
+    #[test]
+    fn a_large_frame_gives_its_memory_back() {
+        let big = "x".repeat(4 * SPARE_CAPACITY);
+        let input = [framed(big.as_bytes()), framed(b"NEW A")].concat();
+        let mut reader = BufReader::new(std::io::Cursor::new(input));
+        let mut payload = Vec::new();
+        assert!(
+            matches!(read_frame_bounded(&mut reader, &mut payload).unwrap(), Frame::Msg(s) if s.len() == big.len())
+        );
+        assert!(matches!(
+            read_frame_bounded(&mut reader, &mut payload).unwrap(),
+            Frame::Msg("NEW A")
+        ));
+        assert!(payload.capacity() <= SPARE_CAPACITY);
+
+        let mut out = FrameWriter::default();
+        let mut sink = Vec::new();
+        out.send_text(&mut sink, &big).unwrap();
+        assert_eq!(sink.len(), 4 + big.len());
+        assert!(out.buf.capacity() <= SPARE_CAPACITY);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A reader that hands its input out in chunks of the given
+        /// sizes, cycling through them.
+        struct Chunked {
+            input: Vec<u8>,
+            at: usize,
+            sizes: Vec<usize>,
+            next: usize,
+        }
+
+        impl Chunked {
+            fn new(input: Vec<u8>, sizes: Vec<usize>) -> Chunked {
+                Chunked {
+                    input,
+                    at: 0,
+                    sizes,
+                    next: 0,
+                }
+            }
+        }
+
+        impl Read for Chunked {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let size = self.sizes[self.next % self.sizes.len()];
+                self.next += 1;
+                let n = size.min(buf.len()).min(self.input.len() - self.at);
+                buf[..n].copy_from_slice(&self.input[self.at..self.at + n]);
+                self.at += n;
+                Ok(n)
+            }
+        }
+
+        /// An owned copy of a decoded frame.
+        #[derive(Debug, Clone, PartialEq)]
+        enum Owned {
+            Msg(String),
+            Batch(bool, Vec<String>),
+        }
+
+        impl Owned {
+            fn encode(&self) -> Vec<u8> {
+                match self {
+                    Owned::Msg(s) => framed(s.as_bytes()),
+                    Owned::Batch(abort, stmts) => {
+                        let stmts: Vec<&str> = stmts.iter().map(String::as_str).collect();
+                        framed(&batch_payload(&stmts, *abort))
+                    }
+                }
+            }
+        }
+
+        /// Statement text over an alphabet with one-, two-, three- and
+        /// four-byte UTF-8 characters and no STX byte, so a v1 frame
+        /// never reads as a batch.
+        fn text() -> impl Strategy<Value = String> {
+            const ALPHABET: [char; 8] = ['a', 'Z', ' ', '\n', '0', 'é', '€', '😀'];
+            prop::collection::vec(0..ALPHABET.len(), 0..24)
+                .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+        }
+
+        fn frame() -> impl Strategy<Value = Owned> {
+            prop_oneof![
+                text().prop_map(Owned::Msg),
+                (any::<bool>(), prop::collection::vec(text(), 0..5))
+                    .prop_map(|(abort, stmts)| Owned::Batch(abort, stmts)),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Any sequence of v1 and v2 frames, delivered in arbitrary
+            /// chunks, decodes back to the same frames.
+            #[test]
+            fn frames_survive_any_chunking(
+                frames in prop::collection::vec(frame(), 0..8),
+                sizes in prop::collection::vec(1..16usize, 1..8),
+            ) {
+                let input: Vec<u8> = frames.iter().flat_map(Owned::encode).collect();
+                let mut reader = BufReader::new(Chunked::new(input, sizes));
+                let mut payload = Vec::new();
+                let mut decoded = Vec::new();
+                loop {
+                    match read_frame_bounded(&mut reader, &mut payload).unwrap() {
+                        Frame::Msg(s) => decoded.push(Owned::Msg(s.to_string())),
+                        Frame::Batch { abort_on_error, stmts } => decoded.push(Owned::Batch(
+                            abort_on_error,
+                            stmts.iter().map(|s| s.to_string()).collect(),
+                        )),
+                        Frame::Eof => break,
+                        Frame::Oversized(len) => prop_assert!(false, "oversized {len}"),
+                    }
+                }
+                prop_assert_eq!(decoded, frames);
+            }
+
+            /// Arbitrary bytes behind an arbitrary length prefix never
+            /// panic the decoder and never grow its payload buffer past
+            /// MAX_FRAME; a prefix above MAX_FRAME is `Oversized` before
+            /// anything is allocated.
+            #[test]
+            fn hostile_bytes_never_panic_or_overgrow(
+                prefix in prop_oneof![
+                    Just(0xFFFF_FFFF_u32),
+                    Just(MAX_FRAME),
+                    Just(MAX_FRAME + 1),
+                    0..48u32,
+                    any::<u32>(),
+                ],
+                magic in any::<bool>(),
+                tail in prop::collection::vec(any::<u8>(), 0..64),
+                sizes in prop::collection::vec(1..16usize, 1..4),
+            ) {
+                let mut input = prefix.to_le_bytes().to_vec();
+                if magic {
+                    input.push(BATCH_MAGIC);
+                }
+                input.extend_from_slice(&tail);
+                let mut reader = BufReader::new(Chunked::new(input, sizes));
+                let mut payload = Vec::new();
+                for step in 0.. {
+                    let outcome = read_frame_bounded(&mut reader, &mut payload);
+                    if step == 0 && prefix > MAX_FRAME {
+                        prop_assert!(
+                            matches!(outcome, Ok(Frame::Oversized(len)) if len == prefix),
+                            "{outcome:?}"
+                        );
+                    }
+                    let done = !matches!(outcome, Ok(Frame::Msg(_) | Frame::Batch { .. }));
+                    prop_assert!(payload.capacity() <= MAX_FRAME as usize);
+                    if step == 0 && prefix > MAX_FRAME {
+                        prop_assert_eq!(payload.capacity(), 0);
+                    }
+                    if done {
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

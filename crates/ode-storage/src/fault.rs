@@ -3,7 +3,8 @@
 //! A [`FaultInjector`] is an armable plan shared (via `Arc`) by every
 //! [`FaultFile`] of a database — the WAL file and the data file both wrap
 //! their handles in one. While disarmed it costs one atomic load per
-//! write/fsync. Armed plans model the three ways a commit pipeline dies:
+//! fsync and one load plus one relaxed add (the written-bytes count) per
+//! write. Armed plans model the three ways a commit pipeline dies:
 //!
 //! * **Write cap** — the device accepts N more bytes, writes a *prefix* of
 //!   the next overflowing write (tearing the frame mid-record), then fails
@@ -50,6 +51,7 @@ pub struct FaultInjector {
     armed: AtomicBool,
     plan: Mutex<Plan>,
     injected: AtomicU64,
+    written: AtomicU64,
     metrics: Mutex<Option<Arc<Metrics>>>,
 }
 
@@ -58,6 +60,7 @@ impl std::fmt::Debug for FaultInjector {
         f.debug_struct("FaultInjector")
             .field("plan", &*self.plan.lock())
             .field("injected", &self.injected.load(Ordering::Relaxed))
+            .field("written", &self.written.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -85,6 +88,7 @@ impl FaultInjector {
             armed: AtomicBool::new(false),
             plan: Mutex::new(Plan::Disarmed),
             injected: AtomicU64::new(0),
+            written: AtomicU64::new(0),
             metrics: Mutex::new(None),
         }
     }
@@ -119,6 +123,13 @@ impl FaultInjector {
         self.injected.load(Ordering::Relaxed)
     }
 
+    /// Bytes that reached the wrapped files so far, armed or not (a torn
+    /// write counts its prefix). A dry run on a twin directory reads it
+    /// to aim a write cap at one particular write.
+    pub fn written(&self) -> u64 {
+        self.written.load(Ordering::Relaxed)
+    }
+
     /// Has a fault fired (device considered dead)?
     pub fn tripped(&self) -> bool {
         self.armed.load(Ordering::Acquire) && *self.plan.lock() == Plan::Tripped
@@ -132,6 +143,17 @@ impl FaultInjector {
     }
 
     fn on_write(&self, len: usize) -> WriteOutcome {
+        let outcome = self.plan_write(len);
+        let landed = match outcome {
+            WriteOutcome::Full => len,
+            WriteOutcome::Torn(n) => n,
+            WriteOutcome::Dead => 0,
+        };
+        self.written.fetch_add(landed as u64, Ordering::Relaxed);
+        outcome
+    }
+
+    fn plan_write(&self, len: usize) -> WriteOutcome {
         if !self.armed.load(Ordering::Acquire) {
             return WriteOutcome::Full;
         }

@@ -914,10 +914,15 @@ mod tests {
             Arc::clone(&metrics),
             1, // one stripe: every thread collides on it
         ));
+        // Released together, so no thread finishes its loop before the
+        // others have started.
+        let start = Arc::new(std::sync::Barrier::new(4));
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let lm = Arc::clone(&lm);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     for i in 0..2000u64 {
                         let txn = TxnId(100 + t);
                         lm.lock(txn, key(t * 10_000 + i), LockMode::Shared).unwrap();

@@ -3012,6 +3012,77 @@ mod tests {
     }
 
     #[test]
+    fn a_disk_checkpoint_torn_in_its_wal_reset_keeps_later_commits() {
+        // The disk engine's checkpoint writes pages, the data-file header
+        // and the doublewrite reset through the injector before the WAL
+        // reset, so the cap that tears the reset's new header 5 bytes in
+        // is measured: a dry run of the same history on a twin directory
+        // counts the checkpoint's bytes, and the reset header is its last
+        // write.
+        fn history(dir: &TempDir, injector: &Arc<FaultInjector>) -> (Storage, Oid, u64) {
+            let opts = StorageOptions {
+                fault: Some(Arc::clone(injector)),
+                ..StorageOptions::default()
+            };
+            let s = Storage::create(dir.path(), opts).unwrap();
+            let t = s.begin().unwrap();
+            let c = s.create_cluster(t).unwrap();
+            let oid = s.allocate(t, c, b"first").unwrap();
+            s.commit(t).unwrap();
+            let wal = s.wal.as_ref().unwrap();
+            wal.flush().unwrap();
+            let end = wal.end_lsn();
+            (s, oid, end)
+        }
+        let twin = TempDir::new("store");
+        let probe = Arc::new(FaultInjector::new());
+        let (s, _, _) = history(&twin, &probe);
+        let before = probe.written();
+        s.checkpoint().unwrap();
+        let checkpoint_bytes = probe.written() - before;
+        drop(s);
+        let header = crate::wal::WAL_HEADER;
+        assert!(checkpoint_bytes > header, "{checkpoint_bytes}");
+        let cap = checkpoint_bytes - header + 5;
+
+        let dir = TempDir::new("store");
+        let injector = Arc::new(FaultInjector::new());
+        let opts = StorageOptions {
+            fault: Some(Arc::clone(&injector)),
+            ..StorageOptions::default()
+        };
+        let (oid, end);
+        {
+            let (s, o, e) = history(&dir, &injector);
+            (oid, end) = (o, e);
+            let before = injector.written();
+            injector.arm_write_cap(cap);
+            assert!(s.checkpoint().is_err());
+            assert!(injector.tripped());
+            assert_eq!(injector.written() - before, cap);
+            let torn = std::fs::metadata(dir.file("wal.truncate")).unwrap().len();
+            assert_eq!(torn, 5, "the cap tore the reset's new header 5 bytes in");
+            std::mem::forget(s); // crash
+        }
+        injector.disarm();
+        {
+            let s = Storage::open(dir.path(), opts.clone()).unwrap();
+            assert!(
+                s.wal.as_ref().unwrap().base_lsn() >= end,
+                "LSN clock rewound"
+            );
+            let t = s.begin().unwrap();
+            s.update(t, oid, b"second").unwrap();
+            s.commit(t).unwrap();
+            std::mem::forget(s); // crash
+        }
+        let s = Storage::open(dir.path(), opts).unwrap();
+        let t = s.begin().unwrap();
+        assert_eq!(s.read(t, oid).unwrap(), b"second");
+        s.commit(t).unwrap();
+    }
+
+    #[test]
     fn many_objects_spread_over_pages() {
         let s = Storage::volatile();
         let t = s.begin().unwrap();

@@ -287,7 +287,7 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 const WAL_MAGIC: &[u8; 8] = b"ODEWAL\0\x01";
 
 /// Bytes of file header before the first frame: magic + `base_lsn` (LE).
-const WAL_HEADER: u64 = 16;
+pub(crate) const WAL_HEADER: u64 = 16;
 
 /// Largest flush buffer kept for reuse: a one-off bulk batch gives its
 /// memory back instead of pinning it.

@@ -32,7 +32,10 @@ impl OdeObject for Account {
     const CLASS: &'static str = "Account";
 }
 
-const ROUNDS: usize = 60;
+/// Transactions per thread: enough that every thread is still running
+/// when the others start, so requests really block (about 0.5 s for the
+/// default 4 threads in a debug build, 1 s for 16 in release).
+const ROUNDS: usize = 2000;
 const ACCOUNTS: usize = 6;
 
 /// Thread count, overridable so CI can crank the contention up
@@ -151,8 +154,18 @@ fn concurrent_mixed_workload_stays_consistent() {
         Ok(())
     })
     .unwrap();
-    // The lock manager saw real contention (sanity that the stress
-    // stressed something).
+    // The lock manager saw real contention: at least one request had to
+    // block or was chosen as a deadlock victim.
     let stats = db.storage().lock_stats();
+    println!(
+        "stress: {threads} threads x {ROUNDS} rounds: waits {} deadlocks {} upgrades {} immediate_grants {}",
+        stats.waits, stats.deadlocks, stats.upgrades, stats.immediate_grants
+    );
     assert!(stats.immediate_grants > 0);
+    if threads > 1 {
+        assert!(
+            stats.waits + stats.deadlocks > 0,
+            "no request ever blocked: the threads never overlapped"
+        );
+    }
 }
