@@ -271,7 +271,7 @@ impl Database {
     fn drain_end_list(&self, txn: TxnId) -> Result<()> {
         for _ in 0..MAX_END_ROUNDS {
             let batch: Vec<Firing> = {
-                let mut locals = self.txn_local.lock(txn);
+                let mut locals = self.txn_local.lock();
                 match locals.get_mut(&txn) {
                     Some(local) => std::mem::take(&mut local.end_list),
                     None => Vec::new(),
@@ -293,7 +293,7 @@ impl Database {
     /// transaction event object list.
     fn post_txn_events(&self, txn: TxnId, complete: bool) -> Result<()> {
         let oids: Vec<ode_storage::Oid> = {
-            let locals = self.txn_local.lock(txn);
+            let locals = self.txn_local.lock();
             locals
                 .get(&txn)
                 .map(|l| l.txn_event_objects.clone())

@@ -100,31 +100,6 @@ pub(crate) struct TxnLocal {
     pub state_cache: IntMap<Oid, CachedTriggerState>,
 }
 
-/// Sharded map of per-transaction scratch state ([`TxnLocal`]). Keyed by
-/// transaction id so concurrent transactions land on different mutexes
-/// instead of one process-wide map lock (which every commit and every
-/// posting hot-path touch funnelled through). The shard count follows the
-/// storage `shards` knob; `1` reproduces the original single-mutex map.
-pub(crate) struct TxnLocalMap {
-    shards: Box<[Mutex<IntMap<TxnId, TxnLocal>>]>,
-    mask: usize,
-}
-
-impl TxnLocalMap {
-    fn new(shards: usize) -> TxnLocalMap {
-        let n = shards.max(1).next_power_of_two();
-        TxnLocalMap {
-            shards: (0..n).map(|_| Mutex::new(IntMap::default())).collect(),
-            mask: n - 1,
-        }
-    }
-
-    /// Lock the shard holding `txn`'s entry.
-    pub(crate) fn lock(&self, txn: TxnId) -> parking_lot::MutexGuard<'_, IntMap<TxnId, TxnLocal>> {
-        self.shards[txn.0 as usize & self.mask].lock()
-    }
-}
-
 /// An Ode database: object manager + trigger run-time over a storage
 /// engine.
 pub struct Database {
@@ -137,7 +112,8 @@ pub struct Database {
     /// (`tick`, `SHOW TRIGGERS`, `verify_integrity`) enumerate active
     /// triggers without touching objects.
     pub(crate) state_cluster: ClusterId,
-    pub(crate) txn_local: TxnLocalMap,
+    /// Per-transaction scratch state ([`TxnLocal`]), keyed by transaction.
+    pub(crate) txn_local: Mutex<IntMap<TxnId, TxnLocal>>,
     /// Session-wide name interner backing every [`Sym`] in the trigger
     /// run-time.
     pub(crate) interner: Interner,
@@ -185,7 +161,7 @@ impl Database {
     }
 
     /// [`Database::volatile`] with explicit storage options (the engine is
-    /// forced to memory), e.g. a `shards` count or a slow-statement
+    /// forced to memory), e.g. a lock timeout or a slow-statement
     /// threshold.
     pub fn volatile_with(options: StorageOptions) -> Database {
         let storage = Arc::new(Storage::volatile_with(options));
@@ -208,14 +184,13 @@ impl Database {
         storage.set_root(txn, ROOT_STATE_CLUSTER, Oid::new(state_cluster, 0))?;
         storage.commit(txn)?;
         let registry = Arc::new(EventRegistry::with_metrics(Arc::clone(storage.metrics())));
-        let txn_local = TxnLocalMap::new(storage.options().shards);
         Ok(Database {
             storage,
             registry,
             schema: RwLock::new(Schema::default()),
             trigger_cluster,
             state_cluster,
-            txn_local,
+            txn_local: Mutex::default(),
             interner: Interner::default(),
             stats_baseline: Mutex::new(ode_obs::MetricsSnapshot::default()),
             live_local_rules: AtomicUsize::new(0),
@@ -244,14 +219,13 @@ impl Database {
         };
         storage.commit(txn)?;
         let registry = Arc::new(EventRegistry::with_metrics(Arc::clone(storage.metrics())));
-        let txn_local = TxnLocalMap::new(storage.options().shards);
         Ok(Database {
             storage,
             registry,
             schema: RwLock::new(Schema::default()),
             trigger_cluster,
             state_cluster,
-            txn_local,
+            txn_local: Mutex::default(),
             interner: Interner::default(),
             stats_baseline: Mutex::new(ode_obs::MetricsSnapshot::default()),
             live_local_rules: AtomicUsize::new(0),
@@ -521,7 +495,7 @@ impl Database {
     /// live-local-rule count in step. Every commit/abort path funnels
     /// through here.
     pub(crate) fn drop_txn_local(&self, txn: TxnId) -> TxnLocal {
-        let local = self.txn_local.lock(txn).remove(&txn).unwrap_or_default();
+        let local = self.txn_local.lock().remove(&txn).unwrap_or_default();
         if !local.local_triggers.is_empty() {
             self.live_local_rules
                 .fetch_sub(local.local_triggers.len(), Ordering::Relaxed);
@@ -554,7 +528,7 @@ impl Database {
         if self.storage.is_read_only(txn) {
             return;
         }
-        let mut locals = self.txn_local.lock(txn);
+        let mut locals = self.txn_local.lock();
         let local = locals.entry(txn).or_default();
         if !local.txn_event_objects.contains(&oid) {
             local.txn_event_objects.push(oid);

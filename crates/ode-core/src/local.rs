@@ -111,7 +111,7 @@ impl Database {
             statenum: outcome.state,
         };
         self.txn_local
-            .lock(txn)
+            .lock()
             .entry(txn)
             .or_default()
             .local_triggers
@@ -123,7 +123,7 @@ impl Database {
     /// Number of live local rules in this transaction (introspection).
     pub fn local_trigger_count(&self, txn: TxnId) -> usize {
         self.txn_local
-            .lock(txn)
+            .lock()
             .get(&txn)
             .map(|l| l.local_triggers.len())
             .unwrap_or(0)
@@ -177,7 +177,7 @@ impl Database {
         event_args: Option<&[u8]>,
     ) -> Result<Vec<Firing>> {
         let mut instances = {
-            let mut locals = self.txn_local.lock(txn);
+            let mut locals = self.txn_local.lock();
             match locals.get_mut(&txn) {
                 Some(local) if !local.local_triggers.is_empty() => {
                     std::mem::take(&mut local.local_triggers)
@@ -247,7 +247,7 @@ impl Database {
 
         // Merge back (mask code may have activated more local rules).
         {
-            let mut locals = self.txn_local.lock(txn);
+            let mut locals = self.txn_local.lock();
             let local = locals.entry(txn).or_default();
             instances.append(&mut local.local_triggers);
             local.local_triggers = instances;

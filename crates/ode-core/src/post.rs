@@ -270,7 +270,7 @@ impl Database {
     pub fn deactivate(&self, txn: TxnId, id: TriggerId) -> Result<bool> {
         // Drop any cached copy first: the pending statenum dies with the
         // instance, and commit must never resurrect a freed record.
-        if let Some(local) = self.txn_local.lock(txn).get_mut(&txn) {
+        if let Some(local) = self.txn_local.lock().get_mut(&txn) {
             local.state_cache.remove(&id.0);
         }
         let record = match self.storage.read(txn, id.0) {
@@ -322,7 +322,7 @@ impl Database {
     /// txn-local mutex is not reentrant), then put back here.
     fn cache_put(&self, txn: TxnId, state_oid: Oid, cached: CachedTriggerState) {
         self.txn_local
-            .lock(txn)
+            .lock()
             .entry(txn)
             .or_default()
             .state_cache
@@ -515,7 +515,7 @@ impl Database {
     ) -> Result<Option<Firing>> {
         let metrics = self.metrics();
         let taken = {
-            let mut locals = self.txn_local.lock(txn);
+            let mut locals = self.txn_local.lock();
             locals
                 .entry(txn)
                 .or_default()
@@ -672,17 +672,17 @@ impl Database {
         match firing.coupling {
             CouplingMode::Immediate => Some(firing),
             CouplingMode::End => {
-                let mut locals = self.txn_local.lock(txn);
+                let mut locals = self.txn_local.lock();
                 locals.entry(txn).or_default().end_list.push(firing);
                 None
             }
             CouplingMode::Dependent => {
-                let mut locals = self.txn_local.lock(txn);
+                let mut locals = self.txn_local.lock();
                 locals.entry(txn).or_default().dep_list.push(firing);
                 None
             }
             CouplingMode::Independent => {
-                let mut locals = self.txn_local.lock(txn);
+                let mut locals = self.txn_local.lock();
                 locals.entry(txn).or_default().indep_list.push(firing);
                 None
             }

@@ -780,12 +780,6 @@ metrics! {
         checkpoints,
         /// WAL bytes dropped by truncating behind the checkpoint horizon.
         wal_truncated_bytes,
-        /// Allocator shard (or global refill) mutex acquisitions that found
-        /// the shard held.
-        alloc_shard_contention,
-        /// Transaction-table stripe mutex acquisitions that found the
-        /// stripe held.
-        txn_stripe_contention,
         /// B-tree node splits (leaf, internal, and root).
         btree_splits,
         /// Transactions committed.
@@ -898,8 +892,8 @@ metrics! {
         /// Microseconds per trigger action execution.
         action_micros,
         /// Nanoseconds spent acquiring a *contended* concurrency-core
-        /// shard mutex (lock stripes, buffer shards, allocator shards,
-        /// txn-table stripes); uncontended acquisitions are not sampled,
+        /// shard mutex (lock stripes, buffer shards); uncontended
+        /// acquisitions are not sampled,
         /// so `_count` equals the sum of the `*_contention` counters.
         shard_acquire_nanos,
         /// Length of an object's version chain sampled each time a commit

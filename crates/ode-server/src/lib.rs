@@ -74,11 +74,11 @@
 //! concurrency model (striped 2PL underneath).
 
 use ode_core::{Engine, PendingCommit, Session};
+use parking_lot::{Condvar, Mutex};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Largest accepted frame (defensive bound; statements are small).
@@ -323,18 +323,20 @@ impl Slot {
         }
     }
 
+    /// Fill the slot. The shim's `notify_all` makes no system call while
+    /// the waiter is not asleep, as when the flusher fills its own slot.
     fn fill(&self, r: Result<(), String>) {
-        *self.result.lock().unwrap() = Some(r);
+        *self.result.lock() = Some(r);
         self.cv.notify_all();
     }
 
     fn wait(&self) -> Result<(), String> {
-        let mut guard = self.result.lock().unwrap();
+        let mut guard = self.result.lock();
         loop {
             if let Some(r) = guard.take() {
                 return r;
             }
-            guard = self.cv.wait(guard).unwrap();
+            self.cv.wait(&mut guard);
         }
     }
 }
@@ -386,7 +388,7 @@ impl Piggyback {
     fn resolve_all(&self, batch: Vec<PendingCommit>) -> Vec<Result<(), String>> {
         let slots: Vec<Arc<Slot>> = (0..batch.len()).map(|_| Arc::new(Slot::new())).collect();
         let i_flush = {
-            let mut queue = self.state.lock().unwrap();
+            let mut queue = self.state.lock();
             for (pending, slot) in batch.into_iter().zip(&slots) {
                 queue.push(PiggybackEntry {
                     pending,
@@ -395,15 +397,15 @@ impl Piggyback {
             }
             // Become the flusher unless one is already draining (it will
             // pick our entries up).
-            let mut flusher = self.flusher.lock().unwrap();
+            let mut flusher = self.flusher.lock();
             !std::mem::replace(&mut *flusher, true)
         };
         if i_flush {
             loop {
                 let round = {
-                    let mut queue = self.state.lock().unwrap();
+                    let mut queue = self.state.lock();
                     if queue.is_empty() {
-                        *self.flusher.lock().unwrap() = false;
+                        *self.flusher.lock() = false;
                         break;
                     }
                     std::mem::take(&mut *queue)

@@ -54,8 +54,6 @@ pub struct DbHeader {
     pub page_count: u32,
     /// Monotonic checkpoint counter; bumped on every checkpoint.
     pub checkpoint_seq: u64,
-    /// Whether the database was closed cleanly (checkpointed, log empty).
-    pub clean_shutdown: bool,
 }
 
 impl DbHeader {
@@ -64,7 +62,8 @@ impl DbHeader {
         bytes[0..8].copy_from_slice(MAGIC);
         bytes[8..12].copy_from_slice(&self.page_count.to_le_bytes());
         bytes[12..20].copy_from_slice(&self.checkpoint_seq.to_le_bytes());
-        bytes[20] = u8::from(self.clean_shutdown);
+        // Byte 20 and the rest of the page stay zero: reserved, byte 20
+        // for a format version.
         Page::from_bytes(&bytes)
     }
 
@@ -76,7 +75,6 @@ impl DbHeader {
         Ok(DbHeader {
             page_count: u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
             checkpoint_seq: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
-            clean_shutdown: bytes[20] == 1,
         })
     }
 }
@@ -204,7 +202,6 @@ impl DiskFile {
         disk.write_header(DbHeader {
             page_count: 1,
             checkpoint_seq: 0,
-            clean_shutdown: true,
         })?;
         Ok(disk)
     }
@@ -704,7 +701,6 @@ mod tests {
         let h = DbHeader {
             page_count: 1,
             checkpoint_seq: 9,
-            clean_shutdown: false,
         };
         d.write_header(h).unwrap();
         assert_eq!(d.read_header().unwrap(), h);

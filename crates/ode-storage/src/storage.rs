@@ -125,10 +125,11 @@ pub struct StorageOptions {
     pub checkpoint_interval: Option<Duration>,
     /// Fault injector routed through the WAL and data files (crash tests).
     pub fault: Option<Arc<FaultInjector>>,
-    /// Concurrency-core shard count for the buffer pool, allocator, and
-    /// transaction table (rounded to a power of two; the buffer pool also
-    /// clamps to `buffer_pages`). `1` reproduces the old single-mutex
-    /// behavior.
+    /// Number of shards in the buffer pool's frame table (disk engine
+    /// only; rounded to a power of two and clamped to `buffer_pages`).
+    /// Each shard has its own mutex and clock hand. Nothing else is
+    /// partitioned: the allocator, the transaction table, the version
+    /// store and the memory engine's page directory are one instance each.
     pub shards: usize,
     /// Slow-statement threshold. When set, every session statement is
     /// traced and any statement slower than this many microseconds has
@@ -170,6 +171,16 @@ enum Store {
 }
 
 impl Store {
+    /// The disk engine's store: `disk` behind a buffer pool whose frame
+    /// table has `options.shards` shards — the one reader of that knob.
+    fn disk(disk: DiskFile, options: &StorageOptions) -> Store {
+        Store::Disk(Arc::new(BufferPool::with_shards(
+            disk,
+            options.buffer_pages,
+            options.shards,
+        )))
+    }
+
     fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
         match self {
             Store::Disk(pool) => pool.with_page(id, f),
@@ -206,31 +217,18 @@ impl Store {
     }
 }
 
-/// Pages pulled from the store in one batch when every allocator shard is
-/// out of reusable pages (the shards' "refill" from global growth).
-const ALLOC_REFILL_BATCH: usize = 4;
-
-/// Cold-path allocation directory shared by all shards, rebuilt from page
-/// tags at open. Only touched when a page changes cluster membership or a
-/// cluster is scanned.
+/// The allocation directory, rebuilt from page tags at open.
 #[derive(Default)]
-struct AllocGlobal {
+struct Alloc {
     /// All pages belonging to each cluster.
     cluster_pages: IntMap<ClusterId, BTreeSet<PageId>>,
-}
-
-/// One shard of the allocation directory; a page's shard is fixed by its
-/// id, so `note_space` and the `pick_page` fast path touch one shard mutex
-/// instead of a process-wide one.
-#[derive(Default)]
-struct AllocShard {
-    /// Pages per cluster believed to have usable space (this shard only),
-    /// each with the shortest cell it was since found too full for
-    /// (`usize::MAX` until a probe fails). `pick_page` skips a page for
-    /// any cell at least that long without reading it; `note_space`
-    /// resets the bound whenever the page's space changes.
+    /// Pages per cluster believed to have usable space, each with the
+    /// shortest cell it was since found too full for (`usize::MAX` until
+    /// a probe fails). `pick_page` skips a page for any cell at least that
+    /// long without reading it; `note_space` resets the bound whenever the
+    /// page's space changes.
     with_space: IntMap<ClusterId, BTreeMap<PageId, usize>>,
-    /// Pages not yet assigned to any cluster (this shard only).
+    /// Pages not yet assigned to any cluster.
     unassigned: BTreeSet<PageId>,
 }
 
@@ -293,10 +291,7 @@ pub struct Storage {
     /// (see [`crate::version`]): read-only transactions resolve every read
     /// here or from quiescent pages, never through the lock manager.
     versions: VersionStore,
-    alloc_shards: Box<[Mutex<AllocShard>]>,
-    /// `alloc_shards.len() - 1`; shard count is always a power of two.
-    alloc_mask: usize,
-    alloc_global: Mutex<AllocGlobal>,
+    alloc: Mutex<Alloc>,
     options: StorageOptions,
     /// Directory holding data + log files; None for volatile stores.
     dir: Option<std::path::PathBuf>,
@@ -338,8 +333,8 @@ struct CheckpointShared {
 /// 2. Flush every sampled dirty page (each under its shard latch, WAL
 ///    flushed through the page LSN first — the same WAL-before-data rule
 ///    a steal obeys).
-/// 3. Update the data-file header (page count, checkpoint seq). The file
-///    is *not* marked clean: log replay is still required after a crash.
+/// 3. Update the data-file header (page count, checkpoint seq). Log
+///    replay is still required after a crash.
 /// 4. Recycle the doublewrite journal — everything it protected is
 ///    durable (after the data-file sync when fsync is on).
 /// 5. Append `EndCheckpoint` carrying the sampled tables and flush: the
@@ -371,7 +366,6 @@ fn fuzzy_checkpoint(shared: &CheckpointShared) -> Result<u64> {
     let mut header = pool.disk().read_header()?;
     header.page_count = pool.page_count();
     header.checkpoint_seq += 1;
-    header.clean_shutdown = false;
     pool.disk().write_header(header)?;
     if *fsync {
         pool.sync()?;
@@ -423,13 +417,9 @@ impl Storage {
                     options.fsync,
                     options.fault.clone(),
                 )?;
-                Store::Disk(Arc::new(BufferPool::with_shards(
-                    disk,
-                    options.buffer_pages,
-                    options.shards,
-                )))
+                Store::disk(disk, &options)
             }
-            EngineKind::Memory => Store::Mem(MemStore::with_shards(options.shards)),
+            EngineKind::Memory => Store::Mem(MemStore::new()),
         };
         let wal = Wal::open_with(&dir.join("wal.log"), options.fsync, options.fault.clone())?;
         wal.reset()?;
@@ -475,18 +465,14 @@ impl Storage {
                     options.fsync,
                     options.fault.clone(),
                 )?;
-                Store::Disk(Arc::new(BufferPool::with_shards(
-                    disk,
-                    options.buffer_pages,
-                    options.shards,
-                )))
+                Store::disk(disk, &options)
             }
             EngineKind::Memory => {
                 let ckpt = dir.join("mem.ckpt");
                 if ckpt.exists() {
-                    Store::Mem(MemStore::load_from(&ckpt, options.shards)?)
+                    Store::Mem(MemStore::load_from(&ckpt)?)
                 } else {
-                    Store::Mem(MemStore::with_shards(options.shards))
+                    Store::Mem(MemStore::new())
                 }
             }
         };
@@ -532,19 +518,13 @@ impl Storage {
     }
 
     /// [`Storage::volatile`] with explicit options (engine is forced to
-    /// memory; `shards` and `lock_timeout` are what callers usually come
-    /// here for).
+    /// memory; `lock_timeout` is what callers usually come here for).
     pub fn volatile_with(options: StorageOptions) -> Storage {
         let options = StorageOptions {
             engine: EngineKind::Memory,
             ..options
         };
-        let storage = Storage::assemble(
-            Store::Mem(MemStore::with_shards(options.shards)),
-            None,
-            options,
-            None,
-        );
+        let storage = Storage::assemble(Store::Mem(MemStore::new()), None, options, None);
         storage
             .bootstrap_roots()
             .expect("bootstrap of a volatile store cannot fail");
@@ -579,22 +559,13 @@ impl Storage {
         if let Some(injector) = &options.fault {
             injector.attach_metrics(Arc::clone(&metrics));
         }
-        let alloc_shards = options.shards.max(1).next_power_of_two();
         Storage {
             store,
             wal,
             locks: LockManager::with_metrics(options.lock_timeout, Arc::clone(&metrics)),
-            txns: Arc::new(TxnManager::with_config(
-                options.lock_timeout,
-                Arc::clone(&metrics),
-                options.shards,
-            )),
-            versions: VersionStore::new(options.shards, Arc::clone(&metrics)),
-            alloc_shards: (0..alloc_shards)
-                .map(|_| Mutex::new(AllocShard::default()))
-                .collect(),
-            alloc_mask: alloc_shards - 1,
-            alloc_global: Mutex::new(AllocGlobal::default()),
+            txns: Arc::new(TxnManager::new(options.lock_timeout)),
+            versions: VersionStore::new(Arc::clone(&metrics)),
+            alloc: Mutex::new(Alloc::default()),
             options,
             dir,
             commits_since_checkpoint: Arc::new(AtomicU64::new(0)),
@@ -665,8 +636,7 @@ impl Storage {
         &self.metrics
     }
 
-    /// The options this storage was assembled with (layers above use the
-    /// concurrency knobs to size their own sharded structures).
+    /// The options this storage was assembled with.
     pub fn options(&self) -> &StorageOptions {
         &self.options
     }
@@ -838,21 +808,17 @@ impl Storage {
 
     /// Rebuild the allocation directory by scanning page tags.
     fn rebuild_alloc(&self) -> Result<()> {
-        let mut global = AllocGlobal::default();
-        let mut shards: Vec<AllocShard> = (0..self.alloc_shards.len())
-            .map(|_| AllocShard::default())
-            .collect();
+        let mut alloc = Alloc::default();
         for id in 1..self.store.page_count() {
             let (cluster, free) = self
                 .store
                 .with_page(id, |p| (p.cluster(), p.usable_free()))?;
-            let shard = &mut shards[self.alloc_shard_of(id)];
             if cluster == UNASSIGNED_CLUSTER {
-                shard.unassigned.insert(id);
+                alloc.unassigned.insert(id);
             } else {
-                global.cluster_pages.entry(cluster).or_default().insert(id);
+                alloc.cluster_pages.entry(cluster).or_default().insert(id);
                 if free >= SPACE_THRESHOLD {
-                    shard
+                    alloc
                         .with_space
                         .entry(cluster)
                         .or_default()
@@ -860,10 +826,7 @@ impl Storage {
                 }
             }
         }
-        *self.alloc_global.lock() = global;
-        for (slot, shard) in self.alloc_shards.iter().zip(shards) {
-            *slot.lock() = shard;
-        }
+        *self.alloc.lock() = alloc;
         Ok(())
     }
 
@@ -900,7 +863,6 @@ impl Storage {
                 let mut header = pool.disk().read_header()?;
                 header.page_count = pool.page_count();
                 header.checkpoint_seq += 1;
-                header.clean_shutdown = true;
                 pool.disk().write_header(header)?;
                 if self.options.fsync {
                     pool.sync()?;
@@ -1411,63 +1373,6 @@ impl Storage {
         Ok(())
     }
 
-    /// Which allocator shard a page belongs to (fixed by its id).
-    fn alloc_shard_of(&self, page: PageId) -> usize {
-        (page as usize) & self.alloc_mask
-    }
-
-    /// Lock one allocator shard, counting contended acquisitions.
-    fn lock_alloc_shard(&self, idx: usize) -> parking_lot::MutexGuard<'_, AllocShard> {
-        match self.alloc_shards[idx].try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.metrics.alloc_shard_contention.inc();
-                let started = std::time::Instant::now();
-                let guard = self.alloc_shards[idx].lock();
-                self.metrics
-                    .shard_acquire_nanos
-                    .record(started.elapsed().as_nanos() as u64);
-                guard
-            }
-        }
-    }
-
-    /// Lock the cold-path global allocation directory, counting contended
-    /// acquisitions (same family as the shards — it is part of the
-    /// allocator's serialization budget).
-    fn lock_alloc_global(&self) -> parking_lot::MutexGuard<'_, AllocGlobal> {
-        match self.alloc_global.try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.metrics.alloc_shard_contention.inc();
-                let started = std::time::Instant::now();
-                let guard = self.alloc_global.lock();
-                self.metrics
-                    .shard_acquire_nanos
-                    .record(started.elapsed().as_nanos() as u64);
-                guard
-            }
-        }
-    }
-
-    /// Each thread starts its shard probes at its own offset so concurrent
-    /// allocators spread across shards (and thus across page latches)
-    /// instead of all fighting over the same "best" page.
-    fn preferred_alloc_shard(&self) -> usize {
-        use std::cell::Cell;
-        use std::sync::atomic::AtomicUsize;
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        thread_local! {
-            static PREFERRED: Cell<usize> = const { Cell::new(usize::MAX) };
-        }
-        PREFERRED.with(|c| {
-            if c.get() == usize::MAX {
-                c.set(NEXT.fetch_add(1, Ordering::Relaxed));
-            }
-            c.get()
-        }) & self.alloc_mask
-    }
-
     /// Refresh a page's entry in the with-space directory.
     fn note_space(&self, page: PageId) -> Result<()> {
         let (cluster, free) = self
@@ -1476,8 +1381,8 @@ impl Storage {
         if cluster == UNASSIGNED_CLUSTER {
             return Ok(());
         }
-        let mut shard = self.lock_alloc_shard(self.alloc_shard_of(page));
-        let set = shard.with_space.entry(cluster).or_default();
+        let mut alloc = self.alloc.lock();
+        let set = alloc.with_space.entry(cluster).or_default();
         if free >= SPACE_THRESHOLD {
             set.insert(page, usize::MAX);
         } else {
@@ -1494,16 +1399,12 @@ impl Storage {
         self.next_lsn.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Pick (or create) a page of `cluster` that can hold `len` bytes.
-    /// Probes allocator shards round-robin from a per-thread offset; only
-    /// falls through to the global growth path when no shard has a usable
-    /// page.
+    /// Pick (or create) a page of `cluster` that can hold `len` bytes:
+    /// the newest page with room, else an unassigned page, else a new one.
     fn pick_page(&self, txn: TxnId, cluster: ClusterId, len: usize) -> Result<PageId> {
-        let start = self.preferred_alloc_shard();
-        for i in 0..self.alloc_shards.len() {
-            let idx = (start + i) & self.alloc_mask;
-            let mut shard = self.lock_alloc_shard(idx);
-            if let Some(set) = shard.with_space.get_mut(&cluster) {
+        let unassigned = {
+            let mut alloc = self.alloc.lock();
+            if let Some(set) = alloc.with_space.get_mut(&cluster) {
                 // Newest pages first: they are most likely to fit. A page
                 // already too full for a cell this long is skipped
                 // unread, so a cluster of nearly full pages costs one
@@ -1518,31 +1419,11 @@ impl Storage {
                     *too_full_for = len;
                 }
             }
-        }
-        // Reuse an unassigned page from any shard...
-        let mut page = None;
-        for i in 0..self.alloc_shards.len() {
-            let idx = (start + i) & self.alloc_mask;
-            if let Some(p) = self.lock_alloc_shard(idx).unassigned.pop_first() {
-                page = Some(p);
-                break;
-            }
-        }
-        // ...or grow the store by a small batch, keeping the first page
-        // and parking the rest as unassigned in their shards so the next
-        // few allocations skip the growth path (the shards' refill).
-        let page = match page {
+            alloc.unassigned.pop_first()
+        };
+        let page = match unassigned {
             Some(p) => p,
-            None => {
-                let p = self.store.allocate_page()?;
-                for _ in 1..ALLOC_REFILL_BATCH {
-                    let extra = self.store.allocate_page()?;
-                    self.lock_alloc_shard(self.alloc_shard_of(extra))
-                        .unassigned
-                        .insert(extra);
-                }
-                p
-            }
+            None => self.store.allocate_page()?,
         };
         // Begin must be logged before the latch; the PageAlloc record is
         // appended *under* it so log order matches mutation order and the
@@ -1560,12 +1441,9 @@ impl Storage {
             };
             p.set_lsn(lsn);
         })?;
-        self.lock_alloc_global()
-            .cluster_pages
-            .entry(cluster)
-            .or_default()
-            .insert(page);
-        self.lock_alloc_shard(self.alloc_shard_of(page))
+        let mut alloc = self.alloc.lock();
+        alloc.cluster_pages.entry(cluster).or_default().insert(page);
+        alloc
             .with_space
             .entry(cluster)
             .or_default()
@@ -2034,8 +1912,8 @@ impl Storage {
 
     /// The pages currently assigned to `cluster` (allocator's view).
     fn cluster_page_list(&self, cluster: ClusterId) -> Vec<PageId> {
-        let global = self.lock_alloc_global();
-        global
+        self.alloc
+            .lock()
             .cluster_pages
             .get(&cluster)
             .map(|s| s.iter().copied().collect())
@@ -3419,7 +3297,7 @@ mod tests {
             let t = s.begin().unwrap();
             for i in 0..16u8 {
                 committed.push((
-                    s.allocate(t, c, &[round * 16 + i; 100]).unwrap(),
+                    s.allocate(t, c, &[round * 16 + i; 400]).unwrap(),
                     round * 16 + i,
                 ));
             }
@@ -3441,7 +3319,7 @@ mod tests {
         let s = Storage::open(dir.path(), StorageOptions::default()).unwrap();
         let t = s.begin().unwrap();
         for (oid, fill) in &committed {
-            assert_eq!(s.read(t, *oid).unwrap(), vec![*fill; 100]);
+            assert_eq!(s.read(t, *oid).unwrap(), vec![*fill; 400]);
         }
         assert!(matches!(
             s.read(t, ghost),

@@ -18,33 +18,22 @@
 //! a transaction in flight at a crash the same way, after
 //! `TxnManager::adopt` re-enters it under its logged id.
 //!
-//! The transaction table is striped by transaction id: every storage
-//! operation consults it ([`TxnManager::active_snapshot`], `push_undo`,
-//! ...), so a single table mutex would serialize otherwise-independent
-//! transactions. Each
-//! stripe has its own condvar; [`TxnManager::finish`] notifies the
-//! finished transaction's stripe, which is exactly where
-//! [`TxnManager::await_dependencies`] waits for it.
-//!
-//! A stripe holds *live* transactions only: [`TxnManager::finish`]
-//! removes the record, so the table's size (and the checkpointer's scans
-//! of it) follows the number of transactions in flight, not the number
-//! ever run. Outcomes stay answerable: an aborted id is kept in a compact
-//! per-stripe set, and an issued id that is neither live nor aborted has
-//! committed ([`TxnManager::begin`] inserts the record before it returns
-//! the id, so an id a caller holds is never absent while active).
+//! The transaction table is one mutex-guarded map with one condvar:
+//! [`TxnManager::finish`] notifies it, and [`TxnManager::await_dependencies`]
+//! waits on it. The table holds *live* transactions only:
+//! [`TxnManager::finish`] removes the record, so the table's size (and the
+//! checkpointer's scans of it) follows the number of transactions in
+//! flight, not the number ever run. Outcomes stay answerable: an aborted id
+//! is kept in a compact set, and an issued id that is neither live nor
+//! aborted has committed ([`TxnManager::begin`] inserts the record before it
+//! returns the id, so an id a caller holds is never absent while active).
 
 use crate::error::{Result, StorageError};
 use crate::hash::{IntMap, IntSet};
 use crate::oid::{Oid, PageId};
-use ode_obs::Metrics;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Default number of transaction-table stripes (power of two).
-pub const DEFAULT_TXN_STRIPES: usize = 8;
 
 /// Transaction identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -102,7 +91,7 @@ struct TxnRecord {
     /// Commit record and flush entirely.
     logged: bool,
     /// Conservative lower bound on the LSN of this transaction's first WAL
-    /// record (its Begin), set with `logged` under the stripe lock. The
+    /// record (its Begin), set with `logged` under the table lock. The
     /// fuzzy checkpointer's truncation horizon must stay behind the
     /// minimum of these across active transactions.
     first_lsn: Option<u64>,
@@ -141,14 +130,14 @@ impl TxnRecord {
 }
 
 #[derive(Default)]
-struct StripeTable {
+struct Table {
     /// Active transactions; a record is removed when it finishes.
     live: IntMap<TxnId, TxnRecord>,
     /// Ids of finished transactions that aborted.
     aborted: IntSet<TxnId>,
 }
 
-impl StripeTable {
+impl Table {
     fn active_mut(&mut self, txn: TxnId) -> Result<&mut TxnRecord> {
         self.live
             .get_mut(&txn)
@@ -156,19 +145,13 @@ impl StripeTable {
     }
 }
 
-struct TxnStripe {
-    txns: Mutex<StripeTable>,
-    cv: Condvar,
-}
-
-/// Registry of transactions and their states, striped by transaction id.
+/// Registry of transactions and their states.
 pub struct TxnManager {
     next: AtomicU64,
-    stripes: Box<[TxnStripe]>,
-    /// `stripes.len() - 1`; stripe count is always a power of two.
-    mask: usize,
+    table: Mutex<Table>,
+    /// Notified by [`TxnManager::finish`]; dependency waiters sleep here.
+    finished: Condvar,
     dep_timeout: Duration,
-    metrics: Arc<Metrics>,
 }
 
 impl Default for TxnManager {
@@ -180,52 +163,18 @@ impl Default for TxnManager {
 impl TxnManager {
     /// Create a manager; `dep_timeout` bounds waits on commit dependencies.
     pub fn new(dep_timeout: Duration) -> TxnManager {
-        TxnManager::with_config(dep_timeout, Arc::new(Metrics::new()), DEFAULT_TXN_STRIPES)
-    }
-
-    /// Fully configured constructor. `stripes` is rounded up to a power of
-    /// two; `1` reproduces the pre-striping single-table manager.
-    pub fn with_config(dep_timeout: Duration, metrics: Arc<Metrics>, stripes: usize) -> TxnManager {
-        let n = stripes.max(1).next_power_of_two();
         TxnManager {
             next: AtomicU64::new(1),
-            stripes: (0..n)
-                .map(|_| TxnStripe {
-                    txns: Mutex::new(StripeTable::default()),
-                    cv: Condvar::new(),
-                })
-                .collect(),
-            mask: n - 1,
+            table: Mutex::new(Table::default()),
+            finished: Condvar::new(),
             dep_timeout,
-            metrics,
-        }
-    }
-
-    fn stripe(&self, txn: TxnId) -> &TxnStripe {
-        &self.stripes[(txn.0 as usize) & self.mask]
-    }
-
-    /// Lock a transaction's stripe, counting contended acquisitions.
-    fn lock_stripe(&self, txn: TxnId) -> MutexGuard<'_, StripeTable> {
-        let stripe = self.stripe(txn);
-        match stripe.txns.try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.metrics.txn_stripe_contention.inc();
-                let started = Instant::now();
-                let guard = stripe.txns.lock();
-                self.metrics
-                    .shard_acquire_nanos
-                    .record(started.elapsed().as_nanos() as u64);
-                guard
-            }
         }
     }
 
     /// Start a transaction. `system` marks trigger-processing transactions.
     pub fn begin(&self, system: bool) -> TxnId {
         let id = TxnId(self.next.fetch_add(1, Ordering::Relaxed));
-        self.lock_stripe(id).live.insert(id, TxnRecord::new(system));
+        self.table.lock().live.insert(id, TxnRecord::new(system));
         id
     }
 
@@ -237,7 +186,7 @@ impl TxnManager {
     /// it.
     pub(crate) fn adopt(&self, txn: TxnId) {
         self.next.fetch_max(txn.0 + 1, Ordering::Relaxed);
-        self.lock_stripe(txn).live.entry(txn).or_insert(TxnRecord {
+        self.table.lock().live.entry(txn).or_insert(TxnRecord {
             logged: true,
             first_lsn: Some(0),
             ..TxnRecord::new(false)
@@ -247,11 +196,11 @@ impl TxnManager {
     /// Current state, if the transaction is known (its id was issued).
     pub fn state(&self, txn: TxnId) -> Option<TxnState> {
         let issued = (1..self.next.load(Ordering::Relaxed)).contains(&txn.0);
-        Self::state_in(&self.lock_stripe(txn), txn, issued)
+        Self::state_in(&self.table.lock(), txn, issued)
     }
 
-    /// `txn`'s state as recorded in its (locked) stripe.
-    fn state_in(table: &StripeTable, txn: TxnId, issued: bool) -> Option<TxnState> {
+    /// `txn`'s state as recorded in the (locked) table.
+    fn state_in(table: &Table, txn: TxnId, issued: bool) -> Option<TxnState> {
         if table.live.contains_key(&txn) {
             Some(TxnState::Active)
         } else if table.aborted.contains(&txn) {
@@ -263,28 +212,26 @@ impl TxnManager {
 
     /// Whether the transaction was started as a system transaction.
     pub fn is_system(&self, txn: TxnId) -> bool {
-        self.lock_stripe(txn)
-            .live
-            .get(&txn)
-            .is_some_and(|r| r.system)
+        self.table.lock().live.get(&txn).is_some_and(|r| r.system)
     }
 
     /// Fail unless `txn` is active; otherwise its snapshot sequence if it
-    /// is a read-only transaction, `None` for a writer. One stripe lock
+    /// is a read-only transaction, `None` for a writer. One table lock
     /// and one probe: the check every storage entry point starts with.
     pub fn active_snapshot(&self, txn: TxnId) -> Result<Option<u64>> {
-        Ok(self.lock_stripe(txn).active_mut(txn)?.snapshot)
+        Ok(self.table.lock().active_mut(txn)?.snapshot)
     }
 
     /// Record an undo action for `txn`.
     pub fn push_undo(&self, txn: TxnId, op: UndoOp) -> Result<()> {
-        self.lock_stripe(txn).active_mut(txn)?.undo.push(op);
+        self.table.lock().active_mut(txn)?.undo.push(op);
         Ok(())
     }
 
     /// Take the undo list (newest last) for rollback.
     pub fn take_undo(&self, txn: TxnId) -> Vec<UndoOp> {
-        self.lock_stripe(txn)
+        self.table
+            .lock()
             .live
             .get_mut(&txn)
             .map(|r| std::mem::take(&mut r.undo))
@@ -294,16 +241,14 @@ impl TxnManager {
     /// Record a cell tombstoned by `txn`, to be physically deleted at
     /// commit.
     pub fn note_pending_delete(&self, txn: TxnId, oid: Oid) -> Result<()> {
-        self.lock_stripe(txn)
-            .active_mut(txn)?
-            .pending_deletes
-            .push(oid);
+        self.table.lock().active_mut(txn)?.pending_deletes.push(oid);
         Ok(())
     }
 
     /// Drain the cells awaiting physical deletion at `txn`'s commit.
     pub fn take_pending_deletes(&self, txn: TxnId) -> Vec<Oid> {
-        self.lock_stripe(txn)
+        self.table
+            .lock()
             .live
             .get_mut(&txn)
             .map(|r| std::mem::take(&mut r.pending_deletes))
@@ -314,10 +259,10 @@ impl TxnManager {
     /// first time (the caller must log Begin then), `false` afterwards.
     /// `first_lsn` is a lower bound on where that Begin will land (the WAL
     /// end sampled *before* the append), recorded with the flag under the
-    /// stripe lock so the checkpointer never observes a logged transaction
+    /// table lock so the checkpointer never observes a logged transaction
     /// without a first LSN.
     pub fn mark_logged(&self, txn: TxnId, first_lsn: u64) -> Result<bool> {
-        let mut txns = self.lock_stripe(txn);
+        let mut txns = self.table.lock();
         let rec = txns.active_mut(txn)?;
         let first = !std::mem::replace(&mut rec.logged, true);
         if first {
@@ -328,38 +273,33 @@ impl TxnManager {
 
     /// Whether `txn` has written any WAL records (false ⇒ read-only so far).
     pub fn has_logged(&self, txn: TxnId) -> bool {
-        self.lock_stripe(txn)
-            .live
-            .get(&txn)
-            .is_some_and(|r| r.logged)
+        self.table.lock().live.get(&txn).is_some_and(|r| r.logged)
     }
 
     /// Record the LSN of `txn`'s Commit record.
     pub fn set_commit_lsn(&self, txn: TxnId, lsn: u64) {
-        if let Some(rec) = self.lock_stripe(txn).live.get_mut(&txn) {
+        if let Some(rec) = self.table.lock().live.get_mut(&txn) {
             rec.commit_lsn = Some(lsn);
         }
     }
 
     /// LSN of `txn`'s Commit record, if it has been appended.
     pub fn commit_lsn(&self, txn: TxnId) -> Option<u64> {
-        self.lock_stripe(txn)
-            .live
-            .get(&txn)
-            .and_then(|r| r.commit_lsn)
+        self.table.lock().live.get(&txn).and_then(|r| r.commit_lsn)
     }
 
     /// Add `oid` to `txn`'s MVCC write set. Returns `true` on the first
     /// insertion — the caller must seed the object's committed value into
     /// the version store before mutating its pages.
     pub fn track_dirty(&self, txn: TxnId, oid: u64) -> Result<bool> {
-        Ok(self.lock_stripe(txn).active_mut(txn)?.dirty.insert(oid))
+        Ok(self.table.lock().active_mut(txn)?.dirty.insert(oid))
     }
 
     /// Drain `txn`'s MVCC write set (for install at commit, or unpinning
     /// on abort).
     pub fn take_dirty(&self, txn: TxnId) -> Vec<u64> {
-        self.lock_stripe(txn)
+        self.table
+            .lock()
             .live
             .get_mut(&txn)
             .map(|r| r.dirty.drain().collect())
@@ -369,7 +309,7 @@ impl TxnManager {
     /// Mark `txn` as a read-only snapshot transaction: `seq` is its
     /// version-store snapshot, `barrier` the begin-time WAL read barrier.
     pub fn set_snapshot(&self, txn: TxnId, seq: u64, barrier: Option<u64>) {
-        if let Some(rec) = self.lock_stripe(txn).live.get_mut(&txn) {
+        if let Some(rec) = self.table.lock().live.get_mut(&txn) {
             rec.snapshot = Some(seq);
             rec.read_barrier = barrier;
         }
@@ -377,15 +317,13 @@ impl TxnManager {
 
     /// The snapshot sequence of a read-only transaction, if `txn` is one.
     pub fn snapshot_of(&self, txn: TxnId) -> Option<u64> {
-        self.lock_stripe(txn)
-            .live
-            .get(&txn)
-            .and_then(|r| r.snapshot)
+        self.table.lock().live.get(&txn).and_then(|r| r.snapshot)
     }
 
     /// The begin-time WAL read barrier of a read-only transaction.
     pub fn read_barrier_of(&self, txn: TxnId) -> Option<u64> {
-        self.lock_stripe(txn)
+        self.table
+            .lock()
             .live
             .get(&txn)
             .and_then(|r| r.read_barrier)
@@ -393,16 +331,16 @@ impl TxnManager {
 
     /// Declare that `txn` may only commit if `on` commits.
     pub fn add_dependency(&self, txn: TxnId, on: TxnId) -> Result<()> {
-        self.lock_stripe(txn).active_mut(txn)?.depends_on.push(on);
+        self.table.lock().active_mut(txn)?.depends_on.push(on);
         Ok(())
     }
 
     /// Block until every dependency of `txn` has resolved; error if any
-    /// aborted. Each wait parks on the *dependency's* stripe — the one
-    /// [`TxnManager::finish`] notifies.
+    /// aborted.
     pub fn await_dependencies(&self, txn: TxnId) -> Result<()> {
         let deps: Vec<TxnId> = self
-            .lock_stripe(txn)
+            .table
+            .lock()
             .live
             .get(&txn)
             .map(|r| r.depends_on.clone())
@@ -410,8 +348,7 @@ impl TxnManager {
         for dep in deps {
             // Every id a caller can name was issued before this read.
             let issued = (1..self.next.load(Ordering::Relaxed)).contains(&dep.0);
-            let stripe = self.stripe(dep);
-            let mut txns = stripe.txns.lock();
+            let mut txns = self.table.lock();
             let start = Instant::now();
             loop {
                 match Self::state_in(&txns, dep, issued) {
@@ -420,8 +357,8 @@ impl TxnManager {
                         return Err(StorageError::DependencyAborted { txn, on: dep });
                     }
                     Some(TxnState::Active) => {
-                        if stripe
-                            .cv
+                        if self
+                            .finished
                             .wait_for(&mut txns, Duration::from_millis(20))
                             .timed_out()
                             && start.elapsed() >= self.dep_timeout
@@ -441,7 +378,7 @@ impl TxnManager {
     pub fn finish(&self, txn: TxnId, state: TxnState) -> Result<()> {
         debug_assert_ne!(state, TxnState::Active);
         {
-            let mut txns = self.lock_stripe(txn);
+            let mut txns = self.table.lock();
             txns.live
                 .remove(&txn)
                 .ok_or(StorageError::TxnNotActive(txn))?;
@@ -449,7 +386,7 @@ impl TxnManager {
                 txns.aborted.insert(txn);
             }
         }
-        self.stripe(txn).cv.notify_all();
+        self.finished.notify_all();
         Ok(())
     }
 
@@ -457,26 +394,18 @@ impl TxnManager {
     /// records — the active-transaction table a fuzzy checkpoint records,
     /// and whose minimum first LSN bounds log truncation.
     pub fn active_logged_first_lsns(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        for stripe in self.stripes.iter() {
-            let txns = stripe.txns.lock();
-            out.extend(
-                txns.live
-                    .iter()
-                    .filter(|(_, r)| r.logged)
-                    .filter_map(|(&id, r)| r.first_lsn.map(|lsn| (id.0, lsn))),
-            );
-        }
-        out
+        self.table
+            .lock()
+            .live
+            .iter()
+            .filter(|(_, r)| r.logged)
+            .filter_map(|(&id, r)| r.first_lsn.map(|lsn| (id.0, lsn)))
+            .collect()
     }
 
     /// Ids of all currently active transactions.
     pub fn active(&self) -> Vec<TxnId> {
-        let mut out = Vec::new();
-        for stripe in self.stripes.iter() {
-            out.extend(stripe.txns.lock().live.keys().copied());
-        }
-        out
+        self.table.lock().live.keys().copied().collect()
     }
 }
 
@@ -574,7 +503,7 @@ mod tests {
 
     #[test]
     fn a_finished_dependency_wakes_its_sleeping_waiter_at_once() {
-        // The waiter sleeps on the dependency's stripe with a 20 ms poll.
+        // The waiter sleeps on the table's condvar with a 20 ms poll.
         // 50 handoffs must take far less than 50 polls, or `finish`
         // skipped a wake.
         const HANDOFFS: u32 = 50;
@@ -598,31 +527,6 @@ mod tests {
             elapsed < Duration::from_millis(20) * HANDOFFS / 2,
             "{HANDOFFS} dependency handoffs took {elapsed:?}"
         );
-    }
-
-    #[test]
-    fn dependency_waits_across_stripes() {
-        // Dependency resolution must work when txn and dependency live in
-        // different stripes (ids differ in the low bits).
-        let tm = Arc::new(TxnManager::with_config(
-            Duration::from_secs(10),
-            Arc::new(Metrics::new()),
-            8,
-        ));
-        let mut a = tm.begin(false);
-        let mut b = tm.begin(true);
-        // Burn ids until the two ids differ in stripe.
-        while (a.0 as usize & 7) == (b.0 as usize & 7) {
-            a = b;
-            b = tm.begin(true);
-        }
-        tm.add_dependency(b, a).unwrap();
-        let tm2 = Arc::clone(&tm);
-        let handle = std::thread::spawn(move || tm2.await_dependencies(b));
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(!handle.is_finished());
-        tm.finish(a, TxnState::Committed).unwrap();
-        handle.join().unwrap().unwrap();
     }
 
     #[test]
@@ -737,8 +641,7 @@ mod tests {
                 tm.finish(t, TxnState::Committed).unwrap();
             }
         }
-        let records: usize = tm.stripes.iter().map(|s| s.txns.lock().live.len()).sum();
-        assert_eq!(records, live.len());
+        assert_eq!(tm.table.lock().live.len(), live.len());
         let mut active = tm.active();
         active.sort_unstable();
         assert_eq!(active, live);

@@ -47,7 +47,7 @@
 //!   held across the removals, so none can register mid-sweep — which
 //!   keeps the store empty on write-only workloads.
 
-use crate::hash::{partition, IntMap};
+use crate::hash::IntMap;
 use crate::oid::ClusterId;
 use crate::txn::TxnId;
 use ode_obs::Metrics;
@@ -106,9 +106,8 @@ pub struct VersionStats {
 
 /// The process-wide store of object version chains. See module docs.
 pub struct VersionStore {
-    shards: Box<[Mutex<IntMap<u64, Chain>>]>,
-    /// `shards.len() - 1`; shard count is always a power of two.
-    mask: usize,
+    /// Every object's chain, keyed by primary Oid.
+    chains: Mutex<IntMap<u64, Chain>>,
     /// Last published commit sequence. Stored with `Release` after a full
     /// write set is installed, so a snapshot registered at `s` always
     /// finds every version with `seq <= s` already in place.
@@ -122,21 +121,15 @@ pub struct VersionStore {
 }
 
 impl VersionStore {
-    /// A store with `shards` map shards (rounded up to a power of two).
-    pub fn new(shards: usize, metrics: Arc<Metrics>) -> VersionStore {
-        let n = shards.max(1).next_power_of_two();
+    /// An empty store.
+    pub fn new(metrics: Arc<Metrics>) -> VersionStore {
         VersionStore {
-            shards: (0..n).map(|_| Mutex::new(IntMap::default())).collect(),
-            mask: n - 1,
+            chains: Mutex::new(IntMap::default()),
             seq: AtomicU64::new(0),
             commit_lock: Mutex::new(()),
             snapshots: Mutex::new(BTreeMap::new()),
             metrics,
         }
-    }
-
-    fn shard(&self, oid: u64) -> &Mutex<IntMap<u64, Chain>> {
-        &self.shards[partition(&oid, self.mask)]
     }
 
     /// The last published commit sequence.
@@ -183,8 +176,7 @@ impl VersionStore {
 
     /// The newest version of `oid` visible at snapshot `s`.
     pub fn visible(&self, oid: u64, s: u64) -> SnapshotLookup {
-        let shard = self.shard(oid).lock();
-        match shard.get(&oid) {
+        match self.chains.lock().get(&oid) {
             None => SnapshotLookup::Untracked,
             Some(chain) => match chain.versions.iter().rev().find(|v| v.seq <= s) {
                 Some(Version { data: Some(d), .. }) => SnapshotLookup::Value(Arc::clone(d)),
@@ -202,8 +194,8 @@ impl VersionStore {
     /// reclaimed when the pages hold the newest committed value (so at
     /// seed time, pages == committed value for all of them).
     pub fn seed(&self, oid: u64, cluster: ClusterId, txn: TxnId, committed: Vec<u8>) {
-        let mut shard = self.shard(oid).lock();
-        let chain = shard.entry(oid).or_insert_with(|| Chain {
+        let mut chains = self.chains.lock();
+        let chain = chains.entry(oid).or_insert_with(|| Chain {
             writer: None,
             cluster,
             versions: Vec::new(),
@@ -223,8 +215,8 @@ impl VersionStore {
     /// falling-back reader can observe the cell before the entry exists.
     /// Committed versions from a previous life of the Oid are kept.
     pub fn note_insert(&self, oid: u64, cluster: ClusterId, txn: TxnId) {
-        let mut shard = self.shard(oid).lock();
-        let chain = shard.entry(oid).or_insert_with(|| Chain {
+        let mut chains = self.chains.lock();
+        let chain = chains.entry(oid).or_insert_with(|| Chain {
             writer: None,
             cluster,
             versions: Vec::new(),
@@ -235,7 +227,7 @@ impl VersionStore {
 
     /// Install the committed values of a write set as one atomic sequence
     /// step. `read` computes each object's final logical value from the
-    /// pages (`None` = deleted); it runs before any chain shard is locked.
+    /// pages (`None` = deleted); it runs before the chain map is locked.
     /// Returns the new commit sequence.
     pub fn install(
         &self,
@@ -248,9 +240,9 @@ impl VersionStore {
         for &oid in dirty {
             values.push(read(oid)?);
         }
+        let mut chains = self.chains.lock();
         for (&oid, (cluster, value)) in dirty.iter().zip(values) {
-            let mut shard = self.shard(oid).lock();
-            let chain = shard.entry(oid).or_insert_with(|| Chain {
+            let chain = chains.entry(oid).or_insert_with(|| Chain {
                 writer: None,
                 cluster,
                 versions: Vec::new(),
@@ -263,6 +255,7 @@ impl VersionStore {
                 .version_chain_len
                 .record(chain.versions.len() as u64);
         }
+        drop(chains);
         // Publish, then unpin: while pinned, no vacuum can reclaim an entry
         // whose pages already hold this commit's value, which a snapshot
         // registered at the previous sequence would otherwise read back
@@ -277,9 +270,9 @@ impl VersionStore {
     /// still detect that the pages were mutated inside its read window;
     /// the next registry-empty sweep reclaims them.
     pub fn clear_writer(&self, txn: TxnId, dirty: &[u64]) {
+        let mut chains = self.chains.lock();
         for &oid in dirty {
-            let mut shard = self.shard(oid).lock();
-            if let Some(chain) = shard.get_mut(&oid) {
+            if let Some(chain) = chains.get_mut(&oid) {
                 if chain.writer == Some(txn) {
                     chain.writer = None;
                 }
@@ -292,16 +285,13 @@ impl VersionStore {
     /// physically purged after the snapshot began.
     pub fn cluster_members(&self, cluster: ClusterId, s: u64) -> Vec<u64> {
         let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.lock();
-            for (&oid, chain) in shard.iter() {
-                if chain.cluster != cluster {
-                    continue;
-                }
-                if let Some(v) = chain.versions.iter().rev().find(|v| v.seq <= s) {
-                    if v.data.is_some() {
-                        out.push(oid);
-                    }
+        for (&oid, chain) in self.chains.lock().iter() {
+            if chain.cluster != cluster {
+                continue;
+            }
+            if let Some(v) = chain.versions.iter().rev().find(|v| v.seq <= s) {
+                if v.data.is_some() {
+                    out.push(oid);
                 }
             }
         }
@@ -328,14 +318,14 @@ impl VersionStore {
         let (horizon, registry) = self.horizon();
         let reclaim = registry.is_some();
         let mut dropped = 0u64;
+        let mut chains = self.chains.lock();
         for oid in oids {
-            let mut shard = self.shard(oid).lock();
-            if let Some(chain) = shard.get_mut(&oid) {
+            if let Some(chain) = chains.get_mut(&oid) {
                 chain.writer = None;
                 dropped += Self::trim(chain, horizon);
                 if reclaim {
                     dropped += chain.versions.len() as u64;
-                    shard.remove(&oid);
+                    chains.remove(&oid);
                 }
             }
         }
@@ -353,18 +343,15 @@ impl VersionStore {
         let (horizon, registry) = self.horizon();
         let reclaim = registry.is_some();
         let mut dropped = 0u64;
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            shard.retain(|_, chain| {
-                dropped += Self::trim(chain, horizon);
-                if reclaim && chain.writer.is_none() {
-                    dropped += chain.versions.len() as u64;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        self.chains.lock().retain(|_, chain| {
+            dropped += Self::trim(chain, horizon);
+            if reclaim && chain.writer.is_none() {
+                dropped += chain.versions.len() as u64;
+                false
+            } else {
+                true
+            }
+        });
         if dropped > 0 {
             self.metrics.versions_gced.add(dropped);
         }
@@ -387,13 +374,15 @@ impl VersionStore {
 
     /// Current shape of the store.
     pub fn stats(&self) -> VersionStats {
-        let mut entries = 0;
-        let mut versions = 0;
-        for shard in self.shards.iter() {
-            let shard = shard.lock();
-            entries += shard.len();
-            versions += shard.values().map(|c| c.versions.len()).sum::<usize>();
-        }
+        // The registry is locked before the chains everywhere else, so it
+        // is read here only after the chain guard is gone.
+        let (entries, versions) = {
+            let chains = self.chains.lock();
+            (
+                chains.len(),
+                chains.values().map(|c| c.versions.len()).sum(),
+            )
+        };
         VersionStats {
             entries,
             versions,
@@ -408,7 +397,7 @@ mod tests {
     use super::*;
 
     fn store() -> VersionStore {
-        VersionStore::new(4, Arc::new(Metrics::new()))
+        VersionStore::new(Arc::new(Metrics::new()))
     }
 
     fn install_one(vs: &VersionStore, oid: u64, value: Option<&[u8]>) -> u64 {
