@@ -1355,7 +1355,7 @@ impl Session {
         // A traced statement resolves its deferred commit here, inside
         // the statement span: the `commit` span (and its WAL LSN) belongs
         // in the tree the user asked for, so it skips the wire layer's
-        // cross-session flush scheduler.
+        // end-of-frame wait.
         if let Err(e) = self.commit_wait_pending() {
             if result.is_ok() {
                 result = Err(DdlError::new(format!("commit durability failed: {e}")));

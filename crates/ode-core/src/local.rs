@@ -64,13 +64,14 @@ impl Database {
 
         let mut mask_err: Option<OdeError> = None;
         let outcome = info.fsm.activate(|m| {
-            self.eval_local_mask(
+            self.eval_mask(
                 txn,
                 &entry.td,
                 m,
                 anchor,
                 &params,
                 &info.name,
+                &[],
                 None,
                 &mut mask_err,
             )
@@ -129,43 +130,6 @@ impl Database {
             .unwrap_or(0)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn eval_local_mask(
-        &self,
-        txn: TxnId,
-        td: &crate::metatype::TypeDescriptor,
-        mask: ode_events::event::MaskId,
-        anchor: Oid,
-        params: &[u8],
-        trigger_name: &str,
-        event_args: Option<&[u8]>,
-        slot: &mut Option<OdeError>,
-    ) -> bool {
-        let Some(f) = td.mask_fn(mask) else {
-            *slot = Some(OdeError::Schema(format!(
-                "class {:?} has no mask {mask}",
-                td.name()
-            )));
-            return false;
-        };
-        let mut ctx = crate::context::TriggerCtx {
-            db: self,
-            txn,
-            anchor,
-            params,
-            trigger_name,
-            anchors: &[],
-            event_args,
-        };
-        match f(&mut ctx) {
-            Ok(b) => b,
-            Err(e) => {
-                *slot = Some(e);
-                false
-            }
-        }
-    }
-
     /// Advance the local rules anchored at `anchor` on `event`; called by
     /// `post_event`. Instances are taken out of the scratchpad while mask
     /// code runs (which may re-enter the database) and merged back after.
@@ -201,13 +165,14 @@ impl Database {
             };
             let mut mask_err: Option<OdeError> = None;
             let outcome = info.fsm.post(inst.statenum, event, |m| {
-                self.eval_local_mask(
+                self.eval_mask(
                     txn,
                     &entry.td,
                     m,
                     inst.anchor,
                     &inst.params,
                     &info.name,
+                    &[],
                     event_args,
                     &mut mask_err,
                 )

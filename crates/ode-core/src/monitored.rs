@@ -195,7 +195,8 @@ struct MonInstance {
     alive: bool,
 }
 
-struct Slot<T> {
+/// One monitored object and its trigger instances.
+struct MonObject<T> {
     value: T,
     instances: Vec<MonInstance>,
 }
@@ -203,7 +204,7 @@ struct Slot<T> {
 /// A space of monitored (volatile) objects of one class.
 pub struct MonitoredSpace<T> {
     class: Arc<MonitoredClass<T>>,
-    slots: Mutex<Vec<Option<Slot<T>>>>,
+    slots: Mutex<Vec<Option<MonObject<T>>>>,
 }
 
 impl<T> MonitoredSpace<T> {
@@ -219,7 +220,7 @@ impl<T> MonitoredSpace<T> {
     pub fn create(&self, value: T) -> MonitoredPtr<T> {
         let mut slots = self.slots.lock();
         let id = slots.len();
-        slots.push(Some(Slot {
+        slots.push(Some(MonObject {
             value,
             instances: Vec::new(),
         }));

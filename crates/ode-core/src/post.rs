@@ -180,9 +180,7 @@ impl Database {
         // Evaluate masks pending in the FSM's start state.
         let info = entry.td.trigger_by_num(triggernum).expect("found above");
         let mut mask_err: Option<OdeError> = None;
-        let mut mask_evals = 0u64;
         let outcome = info.fsm.activate(|m| {
-            mask_evals += 1;
             self.eval_mask(
                 txn,
                 &entry.td,
@@ -223,7 +221,6 @@ impl Database {
         }
         let metrics = self.metrics();
         metrics.trigger_activations.inc();
-        metrics.mask_evaluations.add(mask_evals);
 
         // Seed the cache so the first post in this transaction skips the
         // storage read-back of a record we just wrote.
@@ -381,10 +378,12 @@ impl Database {
     // Posting
     // ------------------------------------------------------------------
 
-    /// Run one mask predicate, capturing any error into `slot` (the FSM's
-    /// eval callback cannot return a Result).
+    /// Run one mask predicate, counting it in `mask_evaluations` and
+    /// capturing any error into `slot` (the FSM's eval callback cannot
+    /// return a Result). Persistent and local triggers both evaluate
+    /// their masks here.
     #[allow(clippy::too_many_arguments)]
-    fn eval_mask(
+    pub(crate) fn eval_mask(
         &self,
         txn: TxnId,
         td: &crate::metatype::TypeDescriptor,
@@ -396,6 +395,7 @@ impl Database {
         event_args: Option<&[u8]>,
         slot: &mut Option<OdeError>,
     ) -> bool {
+        self.metrics().mask_evaluations.inc();
         let Some(f) = td.mask_fn(mask) else {
             *slot = Some(OdeError::Schema(format!(
                 "class {:?} has no mask {mask}",
@@ -588,9 +588,7 @@ impl Database {
             fsm_span.payload(from_state as u64, from_state as u64);
         }
         let mut mask_err: Option<OdeError> = None;
-        let mut mask_evals = 0u64;
         let outcome = info.fsm.post(cached.rec.statenum, fsm_event, |m| {
-            mask_evals += 1;
             self.eval_mask(
                 txn,
                 &entry.td,
@@ -604,9 +602,6 @@ impl Database {
             )
         });
         metrics.fsm_advances.inc();
-        if mask_evals > 0 {
-            metrics.mask_evaluations.add(mask_evals);
-        }
         if let Some(e) = mask_err {
             // Leave the instance checked in and untouched, exactly like
             // the pre-cache code left storage untouched on a mask error.

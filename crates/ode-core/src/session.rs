@@ -87,8 +87,8 @@ impl Session {
     /// (autocommit or explicit `COMMIT`) returns as soon as the commit
     /// is *logical* and parks its [`PendingCommit`] on the session. The
     /// caller must resolve it (see [`Session::take_pending_commit`])
-    /// before acknowledging the statement — the wire layer batches many
-    /// sessions' tickets onto one group-commit flush this way.
+    /// before acknowledging the statement — the wire layer makes a batch
+    /// frame's tickets durable with one group-commit flush this way.
     pub fn set_defer_commits(&mut self, defer: bool) {
         self.defer_commits = defer;
     }
@@ -99,8 +99,8 @@ impl Session {
         self.pending_commit.take()
     }
 
-    /// Resolve any deferred commit inline (used on paths that cannot
-    /// hand the ticket to a scheduler, and before stashing a new one).
+    /// Resolve any deferred commit inline (used on paths that must not
+    /// leave the wait to the caller, and before stashing a new one).
     pub fn commit_wait_pending(&mut self) -> Result<()> {
         match self.pending_commit.take() {
             Some(pending) => pending.db.commit_wait(pending.ticket),

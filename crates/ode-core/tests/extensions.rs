@@ -110,6 +110,58 @@ fn local_rules_fire_and_die_with_the_transaction() {
 }
 
 #[test]
+fn local_rule_masks_count_as_mask_evaluations() {
+    // A local rule's masks run through the same evaluator as a persistent
+    // trigger's, so `mask_evaluations` counts them: once when activation
+    // quiesces the start state's pending mask, and again when a post
+    // reaches it.
+    let db = Database::volatile();
+    let td = ClassBuilder::new("Stock")
+        .after_event("SetPrice")
+        .mask("Dropped", |ctx| {
+            let s: Stock = ctx.object()?;
+            Ok(s.price < s.prev)
+        })
+        .trigger(
+            "DropSinceActivation",
+            "(*after SetPrice) & Dropped()",
+            CouplingMode::Immediate,
+            Perpetual::Yes,
+            |_| Ok(()),
+        )
+        .build(db.registry())
+        .unwrap();
+    db.register_class(&td).unwrap();
+    let stock = db
+        .with_txn(|txn| {
+            db.pnew(
+                txn,
+                &Stock {
+                    symbol: "T".into(),
+                    price: 60.0,
+                    prev: 60.0,
+                },
+            )
+        })
+        .unwrap();
+
+    db.with_txn(|txn| {
+        let before = db.stats().mask_evaluations;
+        db.activate_local(txn, stock, "DropSinceActivation", &())?;
+        assert_eq!(db.local_trigger_count(txn), 1);
+        let activated = db.stats().mask_evaluations;
+        assert!(activated > before, "activation evaluated the pending mask");
+        set_price(&db, txn, stock, 55.0);
+        assert!(
+            db.stats().mask_evaluations > activated,
+            "the post evaluated the mask again"
+        );
+        Ok(())
+    })
+    .unwrap();
+}
+
+#[test]
 fn local_rules_take_no_persistent_storage_and_no_write_locks() {
     // §8: "No persistent storage is required for such triggers … such
     // triggers never require obtaining write locks for the purpose of

@@ -774,8 +774,9 @@ metrics! {
         /// Dirty buffer-pool frames stolen: flushed (WAL-first) and
         /// evicted to make room, bounding the pool at its capacity.
         pages_stolen,
-        /// Buffer-pool shard mutex acquisitions that found the shard held.
-        buf_shard_contention,
+        /// Buffer-pool mutex acquisitions that found the pool held by
+        /// another thread.
+        buf_pool_contention,
         /// Fuzzy and quiesced checkpoints completed.
         checkpoints,
         /// WAL bytes dropped by truncating behind the checkpoint horizon.
@@ -863,13 +864,14 @@ metrics! {
         /// slow-statement threshold (their span trees went to the slow
         /// log).
         slow_statements,
-        /// Commit tickets whose durability wait rode another session's
-        /// WAL flush batch instead of triggering its own (the wire
-        /// layer's cross-session group-commit piggybacking).
+        /// Commit tickets of a wire batch frame that were waited after an
+        /// earlier ticket of the same frame and database, so the WAL
+        /// flush that wait ran covered them (the wire layer's commit
+        /// piggybacking).
         piggybacked_commits,
     }
     gauges {
-        /// Pages currently resident in the buffer pool (all shards).
+        /// Pages currently resident in the buffer pool.
         buf_resident_pages,
         /// Dirty pages currently resident in the buffer pool.
         buf_dirty_pages,
@@ -892,7 +894,7 @@ metrics! {
         /// Microseconds per trigger action execution.
         action_micros,
         /// Nanoseconds spent acquiring a *contended* concurrency-core
-        /// shard mutex (lock stripes, buffer shards); uncontended
+        /// mutex (lock stripes, the buffer pool); uncontended
         /// acquisitions are not sampled,
         /// so `_count` equals the sum of the `*_contention` counters.
         shard_acquire_nanos,

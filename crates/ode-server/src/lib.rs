@@ -47,11 +47,12 @@
 //! The two protocols interleave freely on one connection; v1 clients
 //! never see a v2 frame.
 //!
-//! Under load the reply path defers each statement's commit durability
-//! wait and resolves the accumulated [`ode_core::PendingCommit`] tickets of
-//! *all* connections on one shared group-commit flush before writing any
-//! reply — N connections × 1 fsync becomes 1 fsync per scheduler round
-//! (see `DESIGN.md`, "Wire batching & commit piggybacking").
+//! No reply leaves before what it acknowledges is durable. A batch
+//! frame defers its statements' commit durability waits and waits the
+//! parked [`ode_core::PendingCommit`] tickets once, at the frame's end,
+//! highest LSN first, so one WAL flush covers the frame's commits.
+//! Across connections the WAL's own leader/follower group commit shares
+//! flushes (see `DESIGN.md`, "Wire batching & commit piggybacking").
 //!
 //! ## Frame I/O
 //!
@@ -73,8 +74,7 @@
 //! connection, which matches the engine's thread-per-transaction
 //! concurrency model (striped 2PL underneath).
 
-use ode_core::{Engine, PendingCommit, Session};
-use parking_lot::{Condvar, Mutex};
+use ode_core::{Database, Engine, PendingCommit, Session};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -292,152 +292,17 @@ fn token_eq(presented: &str, expected: &str) -> bool {
 /// `--no-piggyback`).
 #[derive(Debug, Clone, Copy)]
 pub struct ServerOptions {
-    /// Defer commit durability waits and resolve them on the shared
-    /// cross-session scheduler. Off: every statement's `commit_wait`
-    /// runs inline before its reply, as protocol v1 always did.
+    /// Defer each statement's commit durability wait to the end of its
+    /// frame: a batch frame's commits are waited together, highest LSN
+    /// first, so one WAL flush covers them all. Off: every statement's
+    /// `commit_wait` runs inline before the next statement starts. Either
+    /// way a reply leaves only once what it acknowledges is durable.
     pub piggyback: bool,
 }
 
 impl Default for ServerOptions {
     fn default() -> ServerOptions {
         ServerOptions { piggyback: true }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Cross-session commit piggybacking
-// ---------------------------------------------------------------------
-
-/// A waiter's completion slot: filled by whichever thread resolves the
-/// ticket.
-struct Slot {
-    result: Mutex<Option<Result<(), String>>>,
-    cv: Condvar,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            result: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Fill the slot. The shim's `notify_all` makes no system call while
-    /// the waiter is not asleep, as when the flusher fills its own slot.
-    fn fill(&self, r: Result<(), String>) {
-        *self.result.lock() = Some(r);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Result<(), String> {
-        let mut guard = self.result.lock();
-        loop {
-            if let Some(r) = guard.take() {
-                return r;
-            }
-            self.cv.wait(&mut guard);
-        }
-    }
-}
-
-struct PiggybackEntry {
-    pending: PendingCommit,
-    slot: Arc<Slot>,
-}
-
-/// The shared reply scheduler: connection threads enqueue the
-/// [`PendingCommit`] tickets their statements deferred, and the first
-/// enqueuer becomes the *flusher* — it drains the queue in rounds,
-/// waiting each round's highest-LSN ticket first so the WAL group-commit
-/// leader makes the whole round durable with one write+fsync; every
-/// other ticket's wait is then a satisfied-watermark check. Tickets that
-/// resolve on a round they share with another ticket of the same
-/// database count as `piggybacked_commits`. Tickets with no WAL
-/// position (memory engine) never enter the scheduler — there is no
-/// flush to share, so they resolve inline on their connection thread.
-struct Piggyback {
-    state: Mutex<Vec<PiggybackEntry>>,
-    flusher: Mutex<bool>,
-}
-
-impl Piggyback {
-    fn new() -> Piggyback {
-        Piggyback {
-            state: Mutex::new(Vec::new()),
-            flusher: Mutex::new(false),
-        }
-    }
-
-    /// Resolve one deferred commit (v1 single-statement path).
-    fn resolve(&self, pending: PendingCommit) -> Result<(), String> {
-        // A ticket with no WAL position has no flush to share — wait it
-        // inline (a watermark check) instead of taking the scheduler hop.
-        if pending.ticket.lsn().is_none() {
-            return pending
-                .db
-                .commit_wait(pending.ticket)
-                .map_err(|e| e.to_string());
-        }
-        self.resolve_all(vec![pending])
-            .pop()
-            .expect("one result per ticket")
-    }
-
-    /// Resolve a batch of deferred commits; results are in input order.
-    fn resolve_all(&self, batch: Vec<PendingCommit>) -> Vec<Result<(), String>> {
-        let slots: Vec<Arc<Slot>> = (0..batch.len()).map(|_| Arc::new(Slot::new())).collect();
-        let i_flush = {
-            let mut queue = self.state.lock();
-            for (pending, slot) in batch.into_iter().zip(&slots) {
-                queue.push(PiggybackEntry {
-                    pending,
-                    slot: Arc::clone(slot),
-                });
-            }
-            // Become the flusher unless one is already draining (it will
-            // pick our entries up).
-            let mut flusher = self.flusher.lock();
-            !std::mem::replace(&mut *flusher, true)
-        };
-        if i_flush {
-            loop {
-                let round = {
-                    let mut queue = self.state.lock();
-                    if queue.is_empty() {
-                        *self.flusher.lock() = false;
-                        break;
-                    }
-                    std::mem::take(&mut *queue)
-                };
-                flush_round(round);
-            }
-        }
-        slots.iter().map(|slot| slot.wait()).collect()
-    }
-}
-
-/// Make one round of tickets durable together and wake their waiters.
-fn flush_round(mut round: Vec<PiggybackEntry>) {
-    // Highest LSN first: that wait runs (or joins) the WAL group-commit
-    // flush covering every lower LSN in the round.
-    round.sort_by_key(|e| std::cmp::Reverse(e.pending.ticket.lsn()));
-    let mut seen_dbs: Vec<*const ode_core::Database> = Vec::new();
-    for entry in &round {
-        let db = Arc::as_ptr(&entry.pending.db);
-        if seen_dbs.contains(&db) {
-            entry.pending.db.metrics().piggybacked_commits.inc();
-        } else {
-            seen_dbs.push(db);
-        }
-    }
-    for entry in round {
-        let result = entry
-            .pending
-            .db
-            .commit_wait(entry.pending.ticket)
-            .map_err(|e| e.to_string());
-        entry.slot.fill(result);
     }
 }
 
@@ -469,7 +334,6 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept_shutdown = Arc::clone(&shutdown);
         let token = token.to_string();
-        let piggyback = Arc::new(Piggyback::new());
         let accept_thread = std::thread::Builder::new()
             .name("ode-accept".into())
             .spawn(move || {
@@ -481,14 +345,13 @@ impl Server {
                     stream.set_nodelay(true).ok();
                     let engine = Arc::clone(&engine);
                     let token = token.clone();
-                    let piggyback = Arc::clone(&piggyback);
                     // Detached: a connection thread ends when its client
                     // disconnects (or sends QUIT), and Session::drop
                     // aborts any transaction it left open.
                     let _ = std::thread::Builder::new()
                         .name("ode-conn".into())
                         .spawn(move || {
-                            let _ = serve_connection(stream, engine, &token, options, piggyback);
+                            let _ = serve_connection(stream, engine, &token, options);
                         });
                 }
             })?;
@@ -535,7 +398,6 @@ fn serve_connection<S: Read + Write>(
     engine: Arc<Engine>,
     token: &str,
     options: ServerOptions,
-    piggyback: Arc<Piggyback>,
 ) -> std::io::Result<()> {
     // Requests are read through a buffer, so pipelined frames that arrive
     // together cost one `read`; replies go to the stream itself.
@@ -575,7 +437,7 @@ fn serve_connection<S: Read + Write>(
                 }
                 let mut reply = run_statement(&mut session, stmt);
                 if let Some(pending) = session.take_pending_commit() {
-                    if let Err(e) = piggyback.resolve(pending) {
+                    if let Err(e) = pending.db.commit_wait(pending.ticket) {
                         reply = format!("ERR commit durability failed: {e}");
                     }
                 }
@@ -585,7 +447,7 @@ fn serve_connection<S: Read + Write>(
                 abort_on_error,
                 stmts,
             } => {
-                let replies = run_batch(&mut session, &engine, &piggyback, abort_on_error, &stmts);
+                let replies = run_batch(&mut session, &engine, abort_on_error, &stmts);
                 encode_batch_reply(&replies, out.begin());
                 out.send(stream.get_mut())?;
             }
@@ -613,15 +475,14 @@ fn run_statement(session: &mut Session, stmt: &str) -> String {
 }
 
 /// Execute a batch frame: per-statement replies in order, first-error
-/// semantics per `abort_on_error`, and all deferred commit tickets
-/// resolved on one scheduler round before any reply is released. Every
-/// statement runs through [`Session::execute`], so tracing, per-verb
-/// counters, and the statement-latency histogram see batched statements
-/// exactly like single-frame ones.
+/// semantics per `abort_on_error`, and every deferred commit made durable
+/// before any reply is released. Every statement runs through
+/// [`Session::execute`], so tracing, per-verb counters, and the
+/// statement-latency histogram see batched statements exactly like
+/// single-frame ones.
 fn run_batch(
     session: &mut Session,
     engine: &Engine,
-    piggyback: &Piggyback,
     abort_on_error: bool,
     stmts: &[&str],
 ) -> Vec<String> {
@@ -649,17 +510,9 @@ fn run_batch(
             "ERR QUIT is not allowed inside a batch".to_string()
         } else {
             let was_in_txn = session.txn().is_some();
-            let mut reply = run_statement(session, stmt);
+            let reply = run_statement(session, stmt);
             if let Some(pending) = session.take_pending_commit() {
-                if pending.ticket.lsn().is_none() {
-                    // Nothing durable to share: wait inline rather than
-                    // paying a scheduler round per no-WAL ticket.
-                    if let Err(e) = pending.db.commit_wait(pending.ticket) {
-                        reply = format!("ERR commit durability failed: {e}");
-                    }
-                } else {
-                    deferred.push((i, pending));
-                }
+                deferred.push((i, pending));
             }
             // An error while an explicit transaction was open has taken
             // it down (tabort); the rest of the batch was written for
@@ -675,12 +528,22 @@ fn run_batch(
         }
         replies.push(reply);
     }
-    if !deferred.is_empty() {
-        let (indices, tickets): (Vec<usize>, Vec<PendingCommit>) = deferred.into_iter().unzip();
-        for (i, result) in indices.into_iter().zip(piggyback.resolve_all(tickets)) {
-            if let Err(e) = result {
-                replies[i] = format!("ERR commit durability failed: {e}");
+    // Highest LSN first: that wait leads (or joins) the WAL group-commit
+    // flush that covers every lower LSN, so the rest find their records
+    // durable. A ticket with no WAL position has no flush to share.
+    deferred.sort_by_key(|(_, pending)| std::cmp::Reverse(pending.ticket.lsn()));
+    let mut flushed_dbs: Vec<*const Database> = Vec::new();
+    for (i, pending) in deferred {
+        if pending.ticket.lsn().is_some() {
+            let db = Arc::as_ptr(&pending.db);
+            if flushed_dbs.contains(&db) {
+                pending.db.metrics().piggybacked_commits.inc();
+            } else {
+                flushed_dbs.push(db);
             }
+        }
+        if let Err(e) = pending.db.commit_wait(pending.ticket) {
+            replies[i] = format!("ERR commit durability failed: {e}");
         }
     }
     replies
@@ -1090,8 +953,8 @@ mod tests {
 
     #[test]
     fn batched_autocommits_share_one_flush_round() {
-        // A WAL-backed engine: only tickets with a WAL position go
-        // through the shared scheduler (no-WAL tickets resolve inline).
+        // A WAL-backed engine: only tickets with a WAL position share a
+        // flush (no-WAL tickets have none to share).
         let dir = ode_testutil::TempDir::new("piggyback");
         let engine = Engine::open(dir.path(), Default::default()).unwrap();
         let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", "t").unwrap();
@@ -1103,10 +966,10 @@ mod tests {
         let db = engine.database("d").unwrap();
         let before = db.metrics().piggybacked_commits.get();
         let flushes_before = db.metrics().snapshot().wal_group_commits;
-        // Four autocommitting writes in one frame: their tickets resolve
-        // on one scheduler round, so three of them piggyback. (Each must
-        // actually change state — a no-op write commits without a WAL
-        // record and resolves inline, never entering the scheduler.)
+        // Four autocommitting writes in one frame: their tickets are
+        // waited together at the frame's end, so three of them piggyback.
+        // (Each must actually change state — a no-op write commits
+        // without a WAL record and has no flush to share.)
         let set = format!("CALL {oid} Touch SET v = v + 1");
         let replies = c.exec_batch(&[&set, &set, &set, &set], false).unwrap();
         assert!(replies.iter().all(|r| r == "OK"), "{replies:?}");
@@ -1208,6 +1071,11 @@ mod tests {
     struct Scripted {
         input: std::io::Cursor<Vec<u8>>,
         writes: Vec<Vec<u8>>,
+        /// When set, every write also samples this database's WAL
+        /// flushed LSN and the transactions its flight log shows committed
+        /// so far, into `samples`.
+        watch: Option<Arc<Database>>,
+        samples: Vec<(u64, Vec<u64>)>,
     }
 
     impl Scripted {
@@ -1215,16 +1083,21 @@ mod tests {
             Scripted {
                 input: std::io::Cursor::new(frames.concat()),
                 writes: Vec::new(),
+                watch: None,
+                samples: Vec::new(),
             }
+        }
+
+        /// Serve the script on one connection with default options.
+        fn serve(mut self, engine: &Arc<Engine>) -> Vec<Vec<u8>> {
+            self.run(engine, ServerOptions::default())
         }
 
         /// Serve the script on one connection; returns each write's
         /// payload after checking that the write is exactly one frame.
-        fn serve(mut self, engine: &Arc<Engine>) -> Vec<Vec<u8>> {
-            let piggyback = Arc::new(Piggyback::new());
-            let options = ServerOptions::default();
-            serve_connection(&mut self, Arc::clone(engine), "t", options, piggyback).unwrap();
-            self.writes
+        fn run(&mut self, engine: &Arc<Engine>, options: ServerOptions) -> Vec<Vec<u8>> {
+            serve_connection(&mut *self, Arc::clone(engine), "t", options).unwrap();
+            std::mem::take(&mut self.writes)
                 .into_iter()
                 .map(|w| {
                     assert!(w.len() >= 4, "a bare fragment: {w:?}");
@@ -1244,6 +1117,18 @@ mod tests {
 
     impl Write for Scripted {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if let Some(db) = &self.watch {
+                let committed = db
+                    .flight_log()
+                    .iter()
+                    .filter_map(|r| match r.event {
+                        ode_obs::FlightEvent::TxnCommit { txn } => Some(txn),
+                        _ => None,
+                    })
+                    .collect();
+                let flushed = db.storage().wal_flushed_lsn().expect("a WAL");
+                self.samples.push((flushed, committed));
+            }
             self.writes.push(buf.to_vec());
             Ok(buf.len())
         }
@@ -1295,6 +1180,74 @@ mod tests {
         let replies = Scripted::new(&[0xdead_beef_u32.to_le_bytes().to_vec()]).serve(&engine);
         assert_eq!(replies.len(), 1);
         assert!(replies[0].starts_with(b"ERR frame of 3735928559 bytes"));
+    }
+
+    #[test]
+    fn replies_leave_only_after_their_commits_are_durable() {
+        // DESIGN.md "Wire batching": a reply is written only once the
+        // WAL's flushed LSN covers the Commit record of every statement
+        // it acknowledges — v1 and batch frames, sharing on and off.
+        for piggyback in [true, false] {
+            let dir = ode_testutil::TempDir::new("durable-replies");
+            let engine = Engine::open(dir.path(), Default::default()).unwrap();
+            let db = engine.create_database("d").unwrap();
+            let mut setup = engine.session();
+            setup.execute("USE d").unwrap();
+            setup.execute("CREATE CLASS C { FIELD v; }").unwrap();
+            let oid = setup.execute("NEW C").unwrap();
+            drop(setup);
+            let set = format!("CALL {oid} Touch SET v = v + 1");
+            let text = |s: &str| framed(s.as_bytes());
+            let script = [
+                text("AUTH t"),
+                text("USE d"),
+                text(&set),
+                text("NEW C"),
+                text(&set),
+                framed(&batch_payload(&[&set, "NEW C", &set, &set], false)),
+                framed(&batch_payload(
+                    &["BEGIN", &set, &set, "COMMIT", &set],
+                    false,
+                )),
+                text(&format!("GET {oid} v")),
+            ];
+            let mut client = Scripted::new(&script);
+            client.watch = Some(Arc::clone(&db));
+            let replies = client.run(&engine, ServerOptions { piggyback });
+            assert_eq!(replies.len(), script.len());
+            for reply in &replies {
+                let reply = String::from_utf8_lossy(reply);
+                assert!(!reply.contains("ERR"), "{reply}");
+            }
+            assert_eq!(replies[7], b"OK 8", "every write committed");
+
+            let commits: std::collections::HashMap<u64, u64> =
+                ode_storage::wal::Wal::read_all(&dir.path().join("d").join("wal.log"))
+                    .unwrap()
+                    .into_iter()
+                    .filter_map(|(lsn, rec)| match rec {
+                        ode_storage::wal::LogRecord::Commit { txn } => Some((txn, lsn)),
+                        _ => None,
+                    })
+                    .collect();
+            for (i, (flushed, committed)) in client.samples.iter().enumerate() {
+                for txn in committed {
+                    if let Some(&lsn) = commits.get(txn) {
+                        assert!(
+                            lsn <= *flushed,
+                            "piggyback={piggyback}: reply {i} left with txn {txn}'s \
+                             Commit at LSN {lsn} beyond the flushed LSN {flushed}"
+                        );
+                    }
+                }
+            }
+            // Every logged commit — the script's ten committing
+            // transactions among them — was checked by the last reply.
+            let (_, last) = client.samples.last().unwrap();
+            let checked = last.iter().filter(|t| commits.contains_key(t)).count();
+            assert_eq!(checked, commits.len(), "piggyback={piggyback}");
+            assert!(checked >= 10, "piggyback={piggyback}: {checked} commits");
+        }
     }
 
     /// A reader that counts its `read` calls.

@@ -11,8 +11,9 @@
 //! the HTTP scrape endpoint (`GET /metrics`, `GET /healthz`), printed
 //! as `METRICS <addr>`; `--slow-ms N` traces every statement and logs
 //! the span tree of any statement slower than N milliseconds to
-//! stderr. `--no-piggyback` makes each commit wait on its own WAL
-//! flush instead of riding a shared one.
+//! stderr. By default a batch frame's commits are made durable together
+//! at the frame's end; `--no-piggyback` makes each statement wait for its
+//! own commit before the next one runs.
 //!
 //! A flag that takes a value and is given none is an error (exit 2),
 //! never a silent fall-back to a default such as the well-known token.
@@ -57,7 +58,9 @@ fn main() {
                 println!(
                     "usage: ode-server [--root DIR | --volatile] [--addr HOST:PORT] \
                      [--token TOKEN] [--metrics-addr HOST:PORT] [--slow-ms N] \
-                     [--no-piggyback]"
+                     [--no-piggyback]\n\n  \
+                     --no-piggyback  wait for each statement's commit before the next \
+                     statement, instead of once at the end of a batch frame"
                 );
                 return;
             }

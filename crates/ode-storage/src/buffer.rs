@@ -9,7 +9,7 @@
 //! what finally bounds the pool at its configured capacity under
 //! write-heavy trigger firing. A pool with no WAL attached (volatile
 //! engines, unit tests) falls back to the historical no-steal behaviour:
-//! dirty frames are never evicted and the shard grows instead.
+//! dirty frames are never evicted and the pool grows instead.
 //!
 //! Each frame keeps a *recovery LSN* (`rec_lsn`): the WAL end sampled
 //! just before the frame's clean→dirty transition, i.e. a lower bound on
@@ -34,21 +34,6 @@
 //! would decay the whole clock on every miss and degrade GCLOCK to FIFO.
 //! A pool with no WAL passes over dirty frames and, after one bounded
 //! sweep with no clean victim, grows.
-//!
-//! ## Partitioning
-//!
-//! The frame table is partitioned into a power-of-two number of shards by
-//! page id, each with its own mutex, clock hand, and share of the
-//! capacity, so concurrent pins on unrelated pages stop funnelling through
-//! one process-wide mutex (`StorageOptions::shards`; `1` reproduces the
-//! original single-mutex pool). The shard count is clamped to the frame
-//! capacity so tiny pools keep their configured residency bound, and the
-//! capacity is split evenly (minimum one frame per shard). Clock
-//! replacement runs independently per shard — eviction quality is
-//! unchanged because a page's shard is fixed, so each shard sees a
-//! consistent sub-stream of accesses. Checkpoint flushing iterates every
-//! shard but still writes pages in globally sorted order for sequential
-//! I/O.
 
 use crate::disk::DiskFile;
 use crate::error::Result;
@@ -61,9 +46,6 @@ use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Default number of buffer-pool shards (clamped to the frame capacity).
-pub const DEFAULT_POOL_SHARDS: usize = 8;
 
 /// Saturation point of a frame's GCLOCK reference counter.
 const MAX_REF: u8 = 3;
@@ -86,21 +68,18 @@ struct PoolInner {
     hand: usize,
     hits: u64,
     misses: u64,
-    /// Clean frames evicted from this shard.
+    /// Clean frames evicted.
     evictions: u64,
-    /// Dirty frames stolen (flushed WAL-first, then evicted) from this shard.
+    /// Dirty frames stolen (flushed WAL-first, then evicted).
     steals: u64,
 }
 
-/// GCLOCK buffer pool with steal-with-WAL-rule write-back, partitioned by
-/// page id.
+/// GCLOCK buffer pool with steal-with-WAL-rule write-back.
 pub struct BufferPool {
     disk: DiskFile,
-    /// Soft frame limit per shard (see module docs).
-    shard_capacity: usize,
-    shards: Box<[Mutex<PoolInner>]>,
-    /// `shards.len() - 1`; shard count is always a power of two.
-    mask: usize,
+    /// Soft frame limit (see module docs).
+    capacity: usize,
+    inner: Mutex<PoolInner>,
     /// The log that must be flushed through a dirty frame's page LSN
     /// before the frame can be written back. `None` ⇒ no-steal.
     wal: Option<Arc<Wal>>,
@@ -122,49 +101,28 @@ pub struct PoolStats {
     pub resident: usize,
     /// Resident frames that are dirty.
     pub dirty: usize,
-    /// Clean frames evicted across all shards.
+    /// Clean frames evicted.
     pub evictions: u64,
-    /// Dirty frames stolen (WAL-first flush + evict) across all shards.
+    /// Dirty frames stolen (WAL-first flush + evict).
     pub steals: u64,
 }
 
-/// Per-shard slice of [`PoolStats`] (same fields, one shard's share).
-pub type ShardStats = PoolStats;
-
 impl BufferPool {
-    /// Wrap a disk file with a pool of at most `capacity` frames
-    /// (soft limit; see module docs) split over the default shard count.
+    /// Wrap a disk file with a pool of at most `capacity` frames (soft
+    /// limit; see module docs).
     pub fn new(disk: DiskFile, capacity: usize) -> BufferPool {
-        BufferPool::with_shards(disk, capacity, DEFAULT_POOL_SHARDS)
-    }
-
-    /// Like [`BufferPool::new`] with an explicit shard count. The count is
-    /// rounded to a power of two and clamped to `capacity` (so sharding
-    /// never raises the residency bound); `1` reproduces the
-    /// pre-partitioning single-mutex pool.
-    pub fn with_shards(disk: DiskFile, capacity: usize, shards: usize) -> BufferPool {
-        let capacity = capacity.max(1);
-        let mut n = shards.clamp(1, capacity).next_power_of_two();
-        if n > capacity {
-            n /= 2;
-        }
         BufferPool {
             disk,
-            shard_capacity: (capacity / n).max(1),
-            shards: (0..n)
-                .map(|_| {
-                    Mutex::new(PoolInner {
-                        frames: IntMap::default(),
-                        clock: Vec::new(),
-                        hand: 0,
-                        hits: 0,
-                        misses: 0,
-                        evictions: 0,
-                        steals: 0,
-                    })
-                })
-                .collect(),
-            mask: n - 1,
+            capacity: capacity.max(1),
+            inner: Mutex::new(PoolInner {
+                frames: IntMap::default(),
+                clock: Vec::new(),
+                hand: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                steals: 0,
+            }),
             wal: None,
             resident: AtomicU64::new(0),
             dirty: AtomicU64::new(0),
@@ -189,14 +147,9 @@ impl BufferPool {
         &self.disk
     }
 
-    /// Number of shards the frame table is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total frame capacity (shards × per-shard share).
+    /// Frame capacity (soft limit; see module docs).
     pub fn capacity(&self) -> usize {
-        self.shard_capacity * self.shards.len()
+        self.capacity
     }
 
     fn note_resident(&self, delta: i64) {
@@ -217,15 +170,15 @@ impl BufferPool {
         self.metrics.buf_dirty_pages.set(v);
     }
 
-    /// Lock one shard, counting contended acquisitions into the registry.
-    fn lock_shard(&self, id: PageId) -> MutexGuard<'_, PoolInner> {
-        let shard = &self.shards[(id as usize) & self.mask];
-        match shard.try_lock() {
+    /// Lock the frame table, counting contended acquisitions into the
+    /// registry.
+    fn lock_inner(&self) -> MutexGuard<'_, PoolInner> {
+        match self.inner.try_lock() {
             Some(guard) => guard,
             None => {
-                self.metrics.buf_shard_contention.inc();
+                self.metrics.buf_pool_contention.inc();
                 let started = Instant::now();
-                let guard = shard.lock();
+                let guard = self.inner.lock();
                 self.metrics
                     .shard_acquire_nanos
                     .record(started.elapsed().as_nanos() as u64);
@@ -250,7 +203,7 @@ impl BufferPool {
         }
         inner.misses += 1;
         self.metrics.buf_misses.inc();
-        if inner.frames.len() >= self.shard_capacity {
+        if inner.frames.len() >= self.capacity {
             self.evict_one(inner)?;
         }
         let page = self.disk.read_page(id)?;
@@ -270,7 +223,7 @@ impl BufferPool {
     /// victim: a clean one is dropped; a dirty one is *stolen* — WAL
     /// flushed through its page LSN, image written back (journaled),
     /// frame dropped. With no WAL the sweep passes over dirty frames and,
-    /// finding no clean victim, lets the shard grow (no-steal).
+    /// finding no clean victim, lets the pool grow (no-steal).
     fn evict_one(&self, inner: &mut PoolInner) -> Result<()> {
         // Enough steps for a saturated reference counter to decay to
         // zero, plus the finding sweep.
@@ -328,7 +281,7 @@ impl BufferPool {
 
     /// Read access to a page.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
-        let mut inner = self.lock_shard(id);
+        let mut inner = self.lock_inner();
         self.load_locked(&mut inner, id, |frame| f(&frame.page))
     }
 
@@ -337,7 +290,7 @@ impl BufferPool {
     /// *before* the closure appends the change's log records, so it lower-
     /// bounds them).
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> Result<R> {
-        let mut inner = self.lock_shard(id);
+        let mut inner = self.lock_inner();
         self.load_locked(&mut inner, id, |frame| {
             if !frame.dirty {
                 frame.dirty = true;
@@ -351,8 +304,8 @@ impl BufferPool {
     /// Allocate a fresh page on disk and cache it.
     pub fn allocate_page(&self) -> Result<PageId> {
         let id = self.disk.allocate_page()?;
-        let mut inner = self.lock_shard(id);
-        if inner.frames.len() >= self.shard_capacity {
+        let mut inner = self.lock_inner();
+        if inner.frames.len() >= self.capacity {
             self.evict_one(&mut inner)?;
         }
         inner.frames.insert(
@@ -377,18 +330,13 @@ impl BufferPool {
     /// The dirty-page table: `(page, rec_lsn)` for every dirty frame —
     /// what a fuzzy checkpoint's BeginCheckpoint record carries.
     pub fn dirty_page_table(&self) -> Vec<(PageId, u64)> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let inner = shard.lock();
-            out.extend(
-                inner
-                    .frames
-                    .iter()
-                    .filter(|(_, fr)| fr.dirty)
-                    .map(|(&id, fr)| (id, fr.rec_lsn)),
-            );
-        }
-        out
+        self.inner
+            .lock()
+            .frames
+            .iter()
+            .filter(|(_, fr)| fr.dirty)
+            .map(|(&id, fr)| (id, fr.rec_lsn))
+            .collect()
     }
 
     /// Minimum recovery LSN over all dirty frames (`None` when clean) —
@@ -402,11 +350,11 @@ impl BufferPool {
 
     /// Write one page back if (still) dirty, honouring WAL-before-data,
     /// and mark it clean — the fuzzy checkpointer's per-page flush. The
-    /// shard stays locked across the WAL flush and the write so no
+    /// pool stays locked across the WAL flush and the write so no
     /// concurrent mutation or steal can interleave with the copy-out.
     /// Returns whether a write happened.
     pub fn flush_page(&self, id: PageId) -> Result<bool> {
-        let mut inner = self.lock_shard(id);
+        let mut inner = self.lock_inner();
         let frame = match inner.frames.get_mut(&id) {
             Some(frame) if frame.dirty => frame,
             _ => return Ok(false),
@@ -422,19 +370,13 @@ impl BufferPool {
 
     /// Write every dirty frame back to the data file (quiesced-checkpoint
     /// helper). Returns the number of pages written. Pages are written in
-    /// globally sorted order for sequential I/O.
+    /// sorted order for sequential I/O.
     pub fn flush_all(&self) -> Result<usize> {
-        let mut ids: Vec<PageId> = Vec::new();
-        for shard in self.shards.iter() {
-            let inner = shard.lock();
-            ids.extend(
-                inner
-                    .frames
-                    .iter()
-                    .filter(|(_, fr)| fr.dirty)
-                    .map(|(id, _)| *id),
-            );
-        }
+        let mut ids: Vec<PageId> = self
+            .dirty_page_table()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         ids.sort_unstable();
         let mut written = 0;
         for id in ids {
@@ -450,46 +392,17 @@ impl BufferPool {
         self.disk.sync()
     }
 
-    /// Cache statistics snapshot (shard-at-a-time; totals are exact when
-    /// quiesced, monotone approximations under concurrency).
+    /// Cache statistics snapshot.
     pub fn stats(&self) -> PoolStats {
-        let mut stats = PoolStats {
-            hits: 0,
-            misses: 0,
-            resident: 0,
-            dirty: 0,
-            evictions: 0,
-            steals: 0,
-        };
-        for shard in self.shards.iter() {
-            let inner = shard.lock();
-            stats.hits += inner.hits;
-            stats.misses += inner.misses;
-            stats.resident += inner.frames.len();
-            stats.dirty += inner.frames.values().filter(|f| f.dirty).count();
-            stats.evictions += inner.evictions;
-            stats.steals += inner.steals;
+        let inner = self.inner.lock();
+        PoolStats {
+            hits: inner.hits,
+            misses: inner.misses,
+            resident: inner.frames.len(),
+            dirty: inner.frames.values().filter(|f| f.dirty).count(),
+            evictions: inner.evictions,
+            steals: inner.steals,
         }
-        stats
-    }
-
-    /// Per-shard statistics, in shard order — makes an eviction/steal
-    /// imbalance across shards visible.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let inner = shard.lock();
-                ShardStats {
-                    hits: inner.hits,
-                    misses: inner.misses,
-                    resident: inner.frames.len(),
-                    dirty: inner.frames.values().filter(|f| f.dirty).count(),
-                    evictions: inner.evictions,
-                    steals: inner.steals,
-                }
-            })
-            .collect()
     }
 }
 
@@ -512,24 +425,6 @@ mod tests {
         let mut pool = BufferPool::new(disk, capacity);
         pool.attach_wal(wal);
         (dir, pool)
-    }
-
-    #[test]
-    fn shard_count_clamps_to_capacity() {
-        let dir = TempDir::new("pool");
-        let disk = DiskFile::create(&dir.file("db")).unwrap();
-        // Tiny pool: sharding must not raise the residency bound.
-        let p = BufferPool::new(disk, 2);
-        assert_eq!(p.shard_count(), 2);
-        let disk = DiskFile::create(&dir.file("db2")).unwrap();
-        let p = BufferPool::with_shards(disk, 256, 1);
-        assert_eq!(p.shard_count(), 1);
-        let disk = DiskFile::create(&dir.file("db3")).unwrap();
-        let p = BufferPool::with_shards(disk, 256, 6);
-        assert_eq!(p.shard_count(), 8, "rounds to a power of two");
-        let disk = DiskFile::create(&dir.file("db4")).unwrap();
-        let p = BufferPool::with_shards(disk, 6, 6);
-        assert_eq!(p.shard_count(), 4, "power of two within capacity");
     }
 
     #[test]
@@ -613,7 +508,7 @@ mod tests {
         let dir = TempDir::new("pool");
         let disk = DiskFile::create(&dir.file("db")).unwrap();
         let wal = Arc::new(Wal::open(&dir.file("wal"), false).unwrap());
-        let mut p = BufferPool::with_shards(disk, 8, 1);
+        let mut p = BufferPool::new(disk, 8);
         p.attach_wal(wal);
         let hot = p.allocate_page().unwrap();
         let scan: Vec<PageId> = (0..32).map(|_| p.allocate_page().unwrap()).collect();
@@ -641,7 +536,7 @@ mod tests {
         let dir = TempDir::new("pool");
         let disk = DiskFile::create(&dir.file("db")).unwrap();
         let wal = Arc::new(Wal::open(&dir.file("wal"), false).unwrap());
-        let mut p = BufferPool::with_shards(disk, 8, 1);
+        let mut p = BufferPool::new(disk, 8);
         p.attach_wal(wal);
         let hot = p.allocate_page().unwrap();
         let scan: Vec<PageId> = (0..32).map(|_| p.allocate_page().unwrap()).collect();
@@ -673,7 +568,7 @@ mod tests {
         // zero is passed over while clean scan frames are evicted round it.
         let dir = TempDir::new("pool");
         let disk = DiskFile::create(&dir.file("db")).unwrap();
-        let p = BufferPool::with_shards(disk, 4, 1);
+        let p = BufferPool::new(disk, 4);
         let dirty = p.allocate_page().unwrap();
         p.with_page_mut(dirty, |pg| {
             pg.insert(b"unlogged").unwrap();
@@ -785,10 +680,9 @@ mod tests {
 
     #[test]
     fn sharded_pool_keeps_pages_isolated() {
-        // Many pages across all shards: every page reads back its own
-        // bytes and the hit counters aggregate across shards.
+        // Many pages in one frame table: every page reads back its own
+        // bytes and every read-back is a hit.
         let (_d, pool) = pool(64);
-        assert!(pool.shard_count() > 1);
         let mut ids = Vec::new();
         for i in 0..32u8 {
             let id = pool.allocate_page().unwrap();
@@ -811,10 +705,8 @@ mod tests {
 
     #[test]
     fn clean_pages_bounded_under_sharding() {
-        // With a sharded pool and clean pages, residency stays within
-        // one frame of capacity per shard.
+        // With clean pages, residency stays within one frame of capacity.
         let (_d, pool) = pool(8);
-        let shards = pool.shard_count();
         for _ in 0..64 {
             let id = pool.allocate_page().unwrap();
             pool.with_page_mut(id, |p| {
@@ -824,30 +716,9 @@ mod tests {
             pool.flush_all().unwrap();
         }
         assert!(
-            pool.stats().resident <= 8 + shards,
-            "resident={} shards={}",
-            pool.stats().resident,
-            shards
-        );
-    }
-
-    #[test]
-    fn per_shard_stats_sum_to_totals() {
-        let (_d, pool) = steal_pool(4);
-        for i in 0..16u8 {
-            let id = pool.allocate_page().unwrap();
-            pool.with_page_mut(id, |p| {
-                p.insert(&[i; 4]).unwrap();
-            })
-            .unwrap();
-        }
-        let total = pool.stats();
-        let shards = pool.shard_stats();
-        assert_eq!(shards.len(), pool.shard_count());
-        assert_eq!(shards.iter().map(|s| s.steals).sum::<u64>(), total.steals);
-        assert_eq!(
-            shards.iter().map(|s| s.resident).sum::<usize>(),
-            total.resident
+            pool.stats().resident <= 8 + 1,
+            "resident={}",
+            pool.stats().resident
         );
     }
 }

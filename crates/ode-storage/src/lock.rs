@@ -914,15 +914,13 @@ mod tests {
             Arc::clone(&metrics),
             1, // one stripe: every thread collides on it
         ));
-        // Released together, so no thread finishes its loop before the
-        // others have started.
-        let start = Arc::new(std::sync::Barrier::new(4));
+        // Hold the one stripe while four threads request locks, so each
+        // thread's first acquisition is contended whatever the schedule.
+        let held = lm.stripes[0].tables.lock();
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let lm = Arc::clone(&lm);
-                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
-                    start.wait();
                     for i in 0..2000u64 {
                         let txn = TxnId(100 + t);
                         lm.lock(txn, key(t * 10_000 + i), LockMode::Shared).unwrap();
@@ -931,12 +929,21 @@ mod tests {
                 })
             })
             .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while metrics.snapshot().lock_stripe_contention < 4 {
+            assert!(
+                Instant::now() < deadline,
+                "4 threads blocked on a held stripe must each count contention"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(held);
         for t in threads {
             t.join().unwrap();
         }
         let snap = metrics.snapshot();
         assert!(
-            snap.lock_stripe_contention > 0,
+            snap.lock_stripe_contention >= 4,
             "4 threads on 1 stripe must contend"
         );
         assert_eq!(

@@ -125,11 +125,10 @@ pub struct StorageOptions {
     pub checkpoint_interval: Option<Duration>,
     /// Fault injector routed through the WAL and data files (crash tests).
     pub fault: Option<Arc<FaultInjector>>,
-    /// Number of shards in the buffer pool's frame table (disk engine
-    /// only; rounded to a power of two and clamped to `buffer_pages`).
-    /// Each shard has its own mutex and clock hand. Nothing else is
-    /// partitioned: the allocator, the transaction table, the version
-    /// store and the memory engine's page directory are one instance each.
+    /// Ignored: nothing in the engine is partitioned, and the buffer pool
+    /// has one frame table. The field remains only because the benchmark
+    /// harness sets it; the next change to that harness deletes it
+    /// (ROADMAP item 3).
     pub shards: usize,
     /// Slow-statement threshold. When set, every session statement is
     /// traced and any statement slower than this many microseconds has
@@ -149,7 +148,7 @@ impl Default for StorageOptions {
             checkpoint_every: 0,
             checkpoint_interval: None,
             fault: None,
-            shards: crate::buffer::DEFAULT_POOL_SHARDS,
+            shards: 1,
             slow_statement_micros: None,
         }
     }
@@ -171,14 +170,10 @@ enum Store {
 }
 
 impl Store {
-    /// The disk engine's store: `disk` behind a buffer pool whose frame
-    /// table has `options.shards` shards — the one reader of that knob.
+    /// The disk engine's store: `disk` behind a buffer pool of
+    /// `options.buffer_pages` frames.
     fn disk(disk: DiskFile, options: &StorageOptions) -> Store {
-        Store::Disk(Arc::new(BufferPool::with_shards(
-            disk,
-            options.buffer_pages,
-            options.shards,
-        )))
+        Store::Disk(Arc::new(BufferPool::new(disk, options.buffer_pages)))
     }
 
     fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
@@ -330,7 +325,7 @@ struct CheckpointShared {
 ///    table and the active-transaction table. Anything dirtied or begun
 ///    too late to be sampled necessarily logs past the marker, so redo
 ///    from `min(marker, sampled minima)` can miss nothing.
-/// 2. Flush every sampled dirty page (each under its shard latch, WAL
+/// 2. Flush every sampled dirty page (each under the pool latch, WAL
 ///    flushed through the page LSN first — the same WAL-before-data rule
 ///    a steal obeys).
 /// 3. Update the data-file header (page count, checkpoint seq). Log
@@ -2053,12 +2048,6 @@ impl Storage {
         self.store.page_count()
     }
 
-    /// Direct access to the lock manager (the object layer adds its own
-    /// lock protocols for trigger descriptors).
-    pub fn lock_manager(&self) -> &LockManager {
-        &self.locks
-    }
-
     /// Direct access to the transaction registry.
     pub fn txn_manager(&self) -> &TxnManager {
         &self.txns
@@ -2083,14 +2072,6 @@ impl Storage {
     pub fn pool_capacity(&self) -> Option<usize> {
         match &self.store {
             Store::Disk(pool) => Some(pool.capacity()),
-            Store::Mem(_) => None,
-        }
-    }
-
-    /// Per-shard buffer pool statistics (disk engine; None for memory).
-    pub fn pool_shard_stats(&self) -> Option<Vec<crate::buffer::ShardStats>> {
-        match &self.store {
-            Store::Disk(pool) => Some(pool.shard_stats()),
             Store::Mem(_) => None,
         }
     }

@@ -132,11 +132,6 @@ impl VersionStore {
         }
     }
 
-    /// The last published commit sequence.
-    pub fn current_seq(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
-    }
-
     /// Register a snapshot at the current commit sequence and return it.
     /// Runs under the registry mutex so it serializes against the GC
     /// horizon computation: once this returns, no version the snapshot

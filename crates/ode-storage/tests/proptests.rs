@@ -349,6 +349,8 @@ fn snapshot_readers_see_committed_prefixes(
     Ok(())
 }
 
+// `StorageOptions::shards` is ignored by the engine; the pair checks that
+// neither setting changes behaviour until the field is deleted.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

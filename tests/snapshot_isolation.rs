@@ -14,7 +14,9 @@
 //! A snapshot reader observing `left != right`, an armed statenum, or a
 //! value that changes between two reads of the same transaction has seen
 //! an uncommitted or torn intermediate — exactly what MVCC must rule out.
-//! Run at shard count 1 (the old single-mutex concurrency core) and 8.
+//! Run at `StorageOptions::shards` 1 and 8: the engine ignores the value,
+//! so the pair checks that neither setting changes behaviour until the
+//! field is deleted (ROADMAP item 3).
 
 use bytes::BytesMut;
 use ode::core::{ClassBuilder, OdeError};
