@@ -1474,14 +1474,24 @@ impl Session {
                 param,
             } => self
                 .with_session_txn(|db, txn| {
-                    let header = db.read_header(txn, anchor)?;
+                    // The anchor's own class defines the trigger, so the
+                    // record read here is the one activation lists it in.
+                    let (header, payload) = db.read_raw(txn, anchor)?;
                     let entry = db.entry_by_id(header.class_id)?;
-                    let class = entry.td.name().to_string();
+                    let triggernum = crate::post::trigger_num(&entry, &trigger)?;
                     let params = match param {
                         Some(p) => p.to_le_bytes().to_vec(),
                         None => Vec::new(),
                     };
-                    let id = db.activate_raw(txn, &class, &trigger, anchor, params, Vec::new())?;
+                    let id = db.activate_read(
+                        txn,
+                        &entry,
+                        triggernum,
+                        anchor,
+                        params,
+                        Vec::new(),
+                        Some((header, payload)),
+                    )?;
                     Ok(id.oid().to_string())
                 })
                 .map_err(DdlError::from),
@@ -1715,7 +1725,7 @@ impl Session {
     ) -> std::result::Result<String, DdlError> {
         let db = Arc::clone(self.database()?);
         self.with_session_txn(|db_ref, txn| {
-            let header = db_ref.read_header(txn, anchor)?;
+            let (mut header, mut payload) = db_ref.read_raw(txn, anchor)?;
             let entry = db_ref.entry_by_id(header.class_id)?;
             let shape = {
                 let catalog = db.ddl.lock();
@@ -1729,10 +1739,10 @@ impl Session {
             };
             if let Some(event) = entry.td.member_event(method, EventTime::Before) {
                 db_ref.post_event(txn, anchor, event)?;
+                // Re-read after the before-event: its triggers may have
+                // updated the object (mirrors `Database::invoke`).
+                (header, payload) = db_ref.read_raw(txn, anchor)?;
             }
-            // Re-read after the before-event: its triggers may have
-            // updated the object (mirrors `Database::invoke`).
-            let (header, payload) = db_ref.read_raw(txn, anchor)?;
             let mut vals = Vec::with_capacity(shape.fields.len());
             shape.decode(&payload, &mut vals)?;
             let mut changed = false;

@@ -24,7 +24,7 @@
 use crate::database::Database;
 use crate::error::{OdeError, Result};
 use bytes::BytesMut;
-use ode_storage::codec::{decode_all, encode_to_vec, Blob, Decode, Encode};
+use ode_storage::codec::{decode_all, decode_bytes, encode_bytes, encode_to_vec, Decode, Encode};
 use ode_storage::{ClusterId, Oid, TxnId};
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ struct PhoenixRecord {
 impl Encode for PhoenixRecord {
     fn encode(&self, buf: &mut BytesMut) {
         self.handler.encode(buf);
-        Blob(self.payload.clone()).encode(buf);
+        encode_bytes(&self.payload, buf);
         self.attempts.encode(buf);
     }
 }
@@ -54,7 +54,7 @@ impl Decode for PhoenixRecord {
     fn decode(buf: &mut &[u8]) -> ode_storage::Result<Self> {
         Ok(PhoenixRecord {
             handler: String::decode(buf)?,
-            payload: Blob::decode(buf)?.0,
+            payload: decode_bytes(buf)?.to_vec(),
             attempts: u32::decode(buf)?,
         })
     }

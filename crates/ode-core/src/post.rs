@@ -56,10 +56,10 @@
 //! refused up front, since posting is always a write.
 
 use crate::context::TriggerCtx;
-use crate::database::{Database, TxnLocal};
+use crate::database::{ClassEntry, Database, TxnLocal};
 use crate::error::{OdeError, Result};
 use crate::metatype::{CouplingMode, TriggerInfo};
-use crate::object::{OdeObject, PersistentPtr};
+use crate::object::{ObjectHeader, OdeObject, PersistentPtr};
 use crate::trigger::{CachedTriggerState, TriggerId, TriggerStateRec};
 use ode_events::event::EventId;
 use ode_events::machine::Advance;
@@ -67,6 +67,21 @@ use ode_storage::codec::{encode_to_vec, patch_u32_le, Encode};
 use ode_storage::{Oid, StorageError, TxnId};
 use std::cell::Cell;
 use std::sync::Arc;
+
+/// The number of `trigger` in `entry`'s class, or a schema error naming
+/// both.
+pub(crate) fn trigger_num(entry: &ClassEntry, trigger: &str) -> Result<usize> {
+    entry
+        .td
+        .trigger(trigger)
+        .map(|(num, _)| num)
+        .ok_or_else(|| {
+            OdeError::Schema(format!(
+                "class {:?} has no trigger {trigger:?}",
+                entry.td.name()
+            ))
+        })
+}
 
 /// The deepest immediate-firing cascade a statement may build: an action
 /// that posts an event whose trigger fires immediately nests one level,
@@ -161,13 +176,11 @@ impl Database {
         anchors: Vec<(String, Oid)>,
     ) -> Result<TriggerId> {
         let entry = self.entry(class)?;
-        let (triggernum, _) = entry.td.trigger(trigger).ok_or_else(|| {
-            OdeError::Schema(format!("class {class:?} has no trigger {trigger:?}"))
-        })?;
-        if anchors.is_empty() {
+        let triggernum = trigger_num(&entry, trigger)?;
+        let anchor_record = if anchors.is_empty() {
             // Ordinary trigger: the anchor's dynamic class must derive
             // from the defining class.
-            let header = self.read_header(txn, anchor)?;
+            let (header, payload) = self.read_raw(txn, anchor)?;
             let dynamic = self.entry_by_id(header.class_id)?;
             if !dynamic.td.is_subclass_of(class) {
                 return Err(OdeError::TypeMismatch {
@@ -175,12 +188,48 @@ impl Database {
                     actual: dynamic.td.name().to_string(),
                 });
             }
-        }
+            Some((header, payload))
+        } else {
+            None
+        };
+        self.activate_read(
+            txn,
+            &entry,
+            triggernum,
+            anchor,
+            params,
+            anchors,
+            anchor_record,
+        )
+    }
 
+    /// Activation of trigger `triggernum` of `entry`'s class (see
+    /// [`trigger_num`]) once, for an ordinary trigger, the anchor has been
+    /// checked against that class: `anchor_record` is the anchor as that
+    /// check read it, reused to list the new state in its header unless a
+    /// start-state mask ran in between. `None` (inter-object triggers)
+    /// reads each anchor here.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn activate_read(
+        &self,
+        txn: TxnId,
+        entry: &ClassEntry,
+        triggernum: usize,
+        anchor: Oid,
+        params: Vec<u8>,
+        anchors: Vec<(String, Oid)>,
+        anchor_record: Option<(ObjectHeader, Vec<u8>)>,
+    ) -> Result<TriggerId> {
         // Evaluate masks pending in the FSM's start state.
-        let info = entry.td.trigger_by_num(triggernum).expect("found above");
+        let info = entry
+            .td
+            .trigger_by_num(triggernum)
+            .expect("resolved by trigger_num");
+        let trigger = info.name.as_str();
         let mut mask_err: Option<OdeError> = None;
+        let mut masks_ran = false;
         let outcome = info.fsm.activate(|m| {
+            masks_ran = true;
             self.eval_mask(
                 txn,
                 &entry.td,
@@ -213,9 +262,15 @@ impl Database {
 
         // List the state in every anchor's header: an ordinary logged
         // update under the anchor's X lock, so an aborted activation
-        // rolls its refs back (§5.5). A missing anchor is an error.
+        // rolls its refs back (§5.5). A missing anchor is an error. An
+        // ordinary trigger's one anchor was read above; a mask may have
+        // touched it since, so after one ran it is read again.
+        let mut anchor_record = anchor_record.filter(|_| !masks_ran);
         for a in rec.anchor_oids() {
-            let (mut header, payload) = self.read_raw(txn, a)?;
+            let (mut header, payload) = match anchor_record.take() {
+                Some(read) => read,
+                None => self.read_raw(txn, a)?,
+            };
             header.add_ref(state_oid)?;
             self.write_raw(txn, a, header, &payload)?;
         }

@@ -42,7 +42,7 @@
 
 use crate::intern::{Interner, Sym};
 use bytes::{BufMut, BytesMut};
-use ode_storage::codec::{Blob, Decode, Encode};
+use ode_storage::codec::{decode_bytes, decode_str, encode_bytes, Decode, Encode};
 use ode_storage::{Oid, StorageError};
 use std::sync::Arc;
 
@@ -100,8 +100,7 @@ impl TriggerStateRec {
         self.statenum.encode(buf);
         interner.resolve(self.class_sym).encode(buf);
         self.anchor.encode(buf);
-        buf.put_u32_le(self.params.len() as u32);
-        buf.put_slice(&self.params);
+        encode_bytes(&self.params, buf);
         buf.put_u32_le(self.anchors.len() as u32);
         for a in self.anchors.iter() {
             a.encode(buf);
@@ -121,11 +120,11 @@ impl TriggerStateRec {
         let buf = &mut bytes;
         let rec = TriggerStateRec {
             triggernum: u32::decode(buf)?,
-            trigger_sym: interner.intern(&String::decode(buf)?),
+            trigger_sym: interner.intern(decode_str(buf)?),
             statenum: u32::decode(buf)?,
-            class_sym: interner.intern(&String::decode(buf)?),
+            class_sym: interner.intern(decode_str(buf)?),
             anchor: Oid::decode(buf)?,
-            params: Blob::decode(buf)?.0.into(),
+            params: Arc::from(decode_bytes(buf)?),
             anchors: Vec::<(String, Oid)>::decode(buf)?.into(),
         };
         if !buf.is_empty() {

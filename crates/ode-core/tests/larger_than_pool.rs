@@ -9,6 +9,7 @@ use bytes::BytesMut;
 use ode_core::{
     ClassBuilder, CouplingMode, Database, Decode, Encode, OdeObject, Perpetual, StorageOptions,
 };
+use ode_storage::codec::{decode_bytes, encode_bytes};
 use ode_testutil::TempDir;
 use std::time::Duration;
 
@@ -26,14 +27,14 @@ struct Row {
 }
 impl Encode for Row {
     fn encode(&self, buf: &mut BytesMut) {
-        self.pad.encode(buf);
+        encode_bytes(&self.pad, buf);
         self.version.encode(buf);
     }
 }
 impl Decode for Row {
     fn decode(buf: &mut &[u8]) -> ode_storage::Result<Self> {
         Ok(Row {
-            pad: Vec::<u8>::decode(buf)?,
+            pad: decode_bytes(buf)?.to_vec(),
             version: u64::decode(buf)?,
         })
     }

@@ -20,7 +20,7 @@
 //! the chain until the tree is rebuilt. This matches the reproduction's
 //! needs; a production system would merge under-full nodes.
 
-use crate::codec::{decode_all, encode_to_vec, Blob, Decode, Encode};
+use crate::codec::{decode_all, decode_bytes, encode_bytes, encode_to_vec, Decode, Encode};
 use crate::error::{Result, StorageError};
 use crate::oid::{ClusterId, Oid};
 use crate::storage::Storage;
@@ -80,7 +80,7 @@ impl Encode for Node {
                 buf.put_u8(TAG_LEAF);
                 (keys.len() as u32).encode(buf);
                 for k in keys {
-                    Blob(k.clone()).encode(buf);
+                    encode_bytes(k, buf);
                 }
                 values.encode(buf);
                 next.encode(buf);
@@ -89,7 +89,7 @@ impl Encode for Node {
                 buf.put_u8(TAG_INTERNAL);
                 (keys.len() as u32).encode(buf);
                 for k in keys {
-                    Blob(k.clone()).encode(buf);
+                    encode_bytes(k, buf);
                 }
                 children.encode(buf);
             }
@@ -102,7 +102,7 @@ impl Decode for Node {
         let n = u32::decode(buf)? as usize;
         let mut keys = Vec::with_capacity(n.min(MAX_KEYS + 1));
         for _ in 0..n {
-            keys.push(Blob::decode(buf)?.0);
+            keys.push(decode_bytes(buf)?.to_vec());
         }
         match tag {
             TAG_LEAF => Ok(Node::Leaf {

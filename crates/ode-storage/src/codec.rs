@@ -124,10 +124,34 @@ impl Decode for bool {
     }
 }
 
+/// Append a length-prefixed byte string: `len u32 | bytes`, the same
+/// bytes a `Vec<u8>` encodes to, written with one bulk copy.
+pub fn encode_bytes(bytes: &[u8], buf: &mut BytesMut) {
+    buf.reserve(4 + bytes.len());
+    buf.put_u32_le(bytes.len() as u32);
+    buf.put_slice(bytes);
+}
+
+/// Decode a length-prefixed byte string ([`encode_bytes`]' layout),
+/// borrowing it from the input instead of copying it.
+pub fn decode_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
+    need(buf, 4, "byte string length")?;
+    let len = buf.get_u32_le() as usize;
+    need(buf, len, "byte string body")?;
+    let (head, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(head)
+}
+
+/// Decode a length-prefixed UTF-8 string, borrowing it from the input.
+pub fn decode_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
+    std::str::from_utf8(decode_bytes(buf)?)
+        .map_err(|e| StorageError::Codec(format!("invalid utf8: {e}")))
+}
+
 impl Encode for str {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
-        buf.put_slice(self.as_bytes());
+        encode_bytes(self.as_bytes(), buf);
     }
 }
 
@@ -139,15 +163,7 @@ impl Encode for String {
 
 impl Decode for String {
     fn decode(buf: &mut &[u8]) -> Result<String> {
-        need(buf, 4, "string length")?;
-        let len = buf.get_u32_le() as usize;
-        need(buf, len, "string body")?;
-        let (head, rest) = buf.split_at(len);
-        let s = std::str::from_utf8(head)
-            .map_err(|e| StorageError::Codec(format!("invalid utf8: {e}")))?
-            .to_owned();
-        *buf = rest;
-        Ok(s)
+        decode_str(buf).map(str::to_owned)
     }
 }
 
@@ -224,30 +240,6 @@ impl<A: Decode, B: Decode, C: Decode> Decode for (A, B, C) {
     }
 }
 
-/// Raw bytes with a length prefix (distinct from `Vec<u8>` only in intent;
-/// same wire format but encoded with a bulk copy).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct Blob(pub Vec<u8>);
-
-impl Encode for Blob {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.0.len() as u32);
-        buf.put_slice(&self.0);
-    }
-}
-
-impl Decode for Blob {
-    fn decode(buf: &mut &[u8]) -> Result<Blob> {
-        need(buf, 4, "blob length")?;
-        let len = buf.get_u32_le() as usize;
-        need(buf, len, "blob body")?;
-        let (head, rest) = buf.split_at(len);
-        let out = head.to_vec();
-        *buf = rest;
-        Ok(Blob(out))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,7 +281,20 @@ mod tests {
         roundtrip(Option::<u32>::None);
         roundtrip((1u8, String::from("x")));
         roundtrip((1u8, 2u16, 3u32));
-        roundtrip(Blob(vec![0, 1, 2, 255]));
+    }
+
+    #[test]
+    fn byte_strings_encode_like_vec_u8_and_decode_borrowed() {
+        for bytes in [&[][..], &[0, 1, 2, 255][..], &[7; 300][..]] {
+            let mut buf = BytesMut::new();
+            encode_bytes(bytes, &mut buf);
+            assert_eq!(&buf[..], &encode_to_vec(&bytes.to_vec())[..]);
+            let mut input = &buf[..];
+            assert_eq!(decode_bytes(&mut input).unwrap(), bytes);
+            assert!(input.is_empty());
+        }
+        assert!(decode_bytes(&mut &[3, 0, 0, 0, 1, 2][..]).is_err());
+        assert!(decode_str(&mut &[1, 0, 0, 0, 0xFF][..]).is_err());
     }
 
     #[test]

@@ -60,6 +60,7 @@ use crate::wal::{LogRecord, Wal};
 use bytes::{BufMut, BytesMut};
 use ode_obs::{FlightEvent, Metrics};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -475,7 +476,7 @@ impl Storage {
         let records = Wal::read_all(&wal_path)?;
         let wal = Wal::open_with(&wal_path, options.fsync, options.fault.clone())?;
         let storage = Storage::assemble(store, Some(wal), options, Some(dir.to_path_buf()));
-        let loser_undo = storage.replay(&records)?;
+        let loser_undo = storage.replay(records)?;
         storage.rebuild_alloc()?;
         for &(txn, _) in &loser_undo {
             storage.txns.adopt(txn);
@@ -678,7 +679,7 @@ impl Storage {
     ///   newer stamp, and re-applying would double-insert or double-delete.
     ///   Loser undo is collected from the record either way — the effect
     ///   is in the page whether redo or the steal put it there.
-    fn replay(&self, records: &[(u64, LogRecord)]) -> Result<Vec<(TxnId, UndoOp)>> {
+    fn replay(&self, records: Vec<(u64, LogRecord<'static>)>) -> Result<Vec<(TxnId, UndoOp)>> {
         let resolved: IntSet<u64> = records
             .iter()
             .filter_map(|(_, r)| match r {
@@ -710,16 +711,16 @@ impl Storage {
         }
         let mut loser_undo = Vec::new();
         for (end, record) in records {
-            let end = *end;
             if end <= redo_start {
                 continue;
             }
+            let txn = record.txn();
             let undo = match record {
                 LogRecord::PageAlloc { page, cluster, .. } => {
                     self.store.ensure_pages(page + 1)?;
-                    self.store.with_page_mut(*page, |p| {
+                    self.store.with_page_mut(page, |p| {
                         if p.lsn() < end {
-                            p.set_cluster(*cluster);
+                            p.set_cluster(cluster);
                             p.set_lsn(end);
                         }
                     })?;
@@ -730,19 +731,16 @@ impl Storage {
                 } => {
                     self.store.ensure_pages(page + 1)?;
                     self.store
-                        .with_page_mut(*page, |p| {
+                        .with_page_mut(page, |p| {
                             if p.lsn() >= end {
                                 return Ok(());
                             }
-                            p.insert_at(*slot, data).map(|()| p.set_lsn(end))
+                            p.insert_at(slot, &data).map(|()| p.set_lsn(end))
                         })?
                         .map_err(|e| {
                             StorageError::Corrupt(format!("replay insert failed: {e:?}"))
                         })?;
-                    Some(UndoOp::UndoInsert {
-                        page: *page,
-                        slot: *slot,
-                    })
+                    Some(UndoOp::UndoInsert { page, slot })
                 }
                 LogRecord::CellUpdate {
                     page,
@@ -752,38 +750,38 @@ impl Storage {
                     ..
                 } => {
                     self.store
-                        .with_page_mut(*page, |p| {
+                        .with_page_mut(page, |p| {
                             if p.lsn() >= end {
                                 return Ok(());
                             }
-                            p.update(*slot, data).map(|()| p.set_lsn(end))
+                            p.update(slot, &data).map(|()| p.set_lsn(end))
                         })?
                         .map_err(|e| {
                             StorageError::Corrupt(format!("replay update failed: {e:?}"))
                         })?;
                     Some(UndoOp::UndoUpdate {
-                        page: *page,
-                        slot: *slot,
-                        before: before.clone(),
+                        page,
+                        slot,
+                        before: before.into_owned(),
                     })
                 }
                 LogRecord::CellDelete {
                     page, slot, before, ..
                 } => {
                     self.store
-                        .with_page_mut(*page, |p| {
+                        .with_page_mut(page, |p| {
                             if p.lsn() >= end {
                                 return Ok(());
                             }
-                            p.delete(*slot).map(|()| p.set_lsn(end))
+                            p.delete(slot).map(|()| p.set_lsn(end))
                         })?
                         .map_err(|e| {
                             StorageError::Corrupt(format!("replay delete failed: {e:?}"))
                         })?;
                     Some(UndoOp::UndoDelete {
-                        page: *page,
-                        slot: *slot,
-                        before: before.clone(),
+                        page,
+                        slot,
+                        before: before.into_owned(),
                     })
                 }
                 LogRecord::Begin { .. }
@@ -793,8 +791,8 @@ impl Storage {
                 | LogRecord::EndCheckpoint { .. } => None,
             };
             if let Some(op) = undo {
-                if !resolved.contains(&record.txn()) {
-                    loser_undo.push((TxnId(record.txn()), op));
+                if !resolved.contains(&txn) {
+                    loser_undo.push((TxnId(txn), op));
                 }
             }
         }
@@ -1063,20 +1061,22 @@ impl Storage {
         );
         for oid in &pending {
             let removed = self.store.with_page_mut(oid.page(), |p| {
-                let before = p.read(oid.slot()).map(<[u8]>::to_vec).unwrap_or_default();
+                // Log the image straight from the page, then remove it: a
+                // cell that reads back cannot fail to delete.
+                let Some(before) = p.read(oid.slot()) else {
+                    return false;
+                };
+                let lsn = match &self.wal {
+                    Some(wal) => wal.append(&LogRecord::CellDelete {
+                        txn: txn.0,
+                        page: oid.page(),
+                        slot: oid.slot(),
+                        before: Cow::Borrowed(before),
+                    }),
+                    None => self.bump_lsn(),
+                };
                 let ok = p.delete(oid.slot()).is_ok();
-                if ok {
-                    let lsn = match &self.wal {
-                        Some(wal) => wal.append(&LogRecord::CellDelete {
-                            txn: txn.0,
-                            page: oid.page(),
-                            slot: oid.slot(),
-                            before,
-                        }),
-                        None => self.bump_lsn(),
-                    };
-                    p.set_lsn(lsn);
-                }
+                p.set_lsn(lsn);
                 ok
             });
             debug_assert!(
@@ -1230,19 +1230,19 @@ impl Storage {
             UndoOp::UndoInsert { page, slot } => {
                 self.store
                     .with_page_mut(page, |p| {
-                        let before = p.read(slot).map(<[u8]>::to_vec).unwrap_or_default();
-                        p.delete(slot).map(|()| {
-                            let lsn = match &self.wal {
-                                Some(wal) => wal.append(&LogRecord::CellDelete {
-                                    txn: txn.0,
-                                    page,
-                                    slot,
-                                    before,
-                                }),
-                                None => self.bump_lsn(),
-                            };
-                            p.set_lsn(lsn);
-                        })
+                        let before = p.read(slot).ok_or(PageOpError::BadSlot)?;
+                        let lsn = match &self.wal {
+                            Some(wal) => wal.append(&LogRecord::CellDelete {
+                                txn: txn.0,
+                                page,
+                                slot,
+                                before: Cow::Borrowed(before),
+                            }),
+                            None => self.bump_lsn(),
+                        };
+                        p.delete(slot)?;
+                        p.set_lsn(lsn);
+                        Ok::<_, PageOpError>(())
                     })?
                     .map_err(|e| StorageError::Corrupt(format!("undo insert failed: {e:?}")))?;
                 self.note_space(page)?;
@@ -1256,8 +1256,8 @@ impl Storage {
                                 txn: txn.0,
                                 page,
                                 slot,
-                                data: before.clone(),
-                                before: prior,
+                                data: Cow::Borrowed(&before),
+                                before: Cow::Owned(prior),
                             }),
                             None => self.bump_lsn(),
                         };
@@ -1283,7 +1283,7 @@ impl Storage {
                                 txn: txn.0,
                                 page,
                                 slot,
-                                data: before.clone(),
+                                data: Cow::Borrowed(&before),
                             }),
                             None => self.bump_lsn(),
                         };
@@ -1356,7 +1356,7 @@ impl Storage {
                                 txn: txn.0,
                                 page: oid.page(),
                                 slot: oid.slot(),
-                                data: stub.clone(),
+                                data: Cow::Borrowed(&stub),
                             }),
                             None => self.bump_lsn(),
                         };
@@ -1467,7 +1467,7 @@ impl Storage {
                             txn: txn.0,
                             page,
                             slot,
-                            data: cell.to_vec(),
+                            data: Cow::Borrowed(cell),
                         }),
                         None => self.bump_lsn(),
                     };
@@ -1517,8 +1517,8 @@ impl Storage {
                             txn: txn.0,
                             page: oid.page(),
                             slot: oid.slot(),
-                            data: cell.to_vec(),
-                            before: before.clone(),
+                            data: Cow::Borrowed(cell),
+                            before: Cow::Borrowed(&before),
                         }),
                         None => self.bump_lsn(),
                     };
@@ -1572,8 +1572,8 @@ impl Storage {
                     txn: txn.0,
                     page: oid.page(),
                     slot: oid.slot(),
-                    data: tomb,
-                    before: before.clone(),
+                    data: Cow::Owned(tomb),
+                    before: Cow::Borrowed(&before),
                 }),
                 None => self.bump_lsn(),
             };

@@ -27,6 +27,13 @@
 //! is used, and [`Wal::open`] *truncates* the tear so fresh appends can
 //! never land behind unreachable garbage.
 //!
+//! An append copies a record's bytes once: the record is encoded straight
+//! into the in-memory tail behind a placeholder frame header, which is
+//! then filled in with the payload's length and its checksum, computed
+//! over the bytes just written. Cell images travel as borrowed slices
+//! ([`LogRecord`]'s byte fields are `Cow`s), so the caller hands the log
+//! the bytes it already holds; only decoding owns them.
+//!
 //! ## LSNs and group commit
 //!
 //! Every append is assigned a monotonically increasing LSN (the byte
@@ -48,22 +55,24 @@
 //! [`StorageError::WalPoisoned`]; the only way forward is reopen +
 //! recovery, which truncates the tear.
 
-use crate::codec::{Decode, Encode};
+use crate::codec::{decode_bytes, encode_bytes, Decode, Encode};
 use crate::error::{Result, StorageError};
 use crate::fault::{FaultFile, FaultInjector};
 use crate::oid::{ClusterId, PageId};
 use bytes::{BufMut, BytesMut};
 use ode_obs::{FlightEvent, Metrics};
 use parking_lot::{Condvar, Mutex};
+use std::borrow::Cow;
 use std::io::{Read, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One log record.
+/// One log record. Its cell images borrow the caller's bytes when it is
+/// appended and own them when it is decoded (`LogRecord<'static>`).
 #[allow(missing_docs)] // fields are self-describing
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogRecord {
+pub enum LogRecord<'a> {
     /// A transaction started.
     Begin { txn: u64 },
     /// A cell was inserted at (page, slot) with the given bytes.
@@ -71,7 +80,7 @@ pub enum LogRecord {
         txn: u64,
         page: PageId,
         slot: u16,
-        data: Vec<u8>,
+        data: Cow<'a, [u8]>,
     },
     /// The cell at (page, slot) was overwritten with `data`; `before` is
     /// the cell's previous bytes, used to roll back transactions that
@@ -80,8 +89,8 @@ pub enum LogRecord {
         txn: u64,
         page: PageId,
         slot: u16,
-        data: Vec<u8>,
-        before: Vec<u8>,
+        data: Cow<'a, [u8]>,
+        before: Cow<'a, [u8]>,
     },
     /// The cell at (page, slot) was deleted; `before` is the deleted
     /// cell's bytes, used to roll back in-flight transactions at a crash.
@@ -89,7 +98,7 @@ pub enum LogRecord {
         txn: u64,
         page: PageId,
         slot: u16,
-        before: Vec<u8>,
+        before: Cow<'a, [u8]>,
     },
     /// A fresh page was allocated and assigned to a cluster.
     PageAlloc {
@@ -133,7 +142,7 @@ const TAG_ABORT: u8 = 7;
 const TAG_BEGIN_CKPT: u8 = 8;
 const TAG_END_CKPT: u8 = 9;
 
-impl LogRecord {
+impl LogRecord<'_> {
     /// The transaction the record belongs to. Checkpoint records belong
     /// to no transaction and return 0 (never a real txn id).
     pub fn txn(&self) -> u64 {
@@ -150,7 +159,7 @@ impl LogRecord {
     }
 }
 
-impl Encode for LogRecord {
+impl Encode for LogRecord<'_> {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             LogRecord::Begin { txn } => {
@@ -167,7 +176,7 @@ impl Encode for LogRecord {
                 txn.encode(buf);
                 page.encode(buf);
                 slot.encode(buf);
-                data.encode(buf);
+                encode_bytes(data, buf);
             }
             LogRecord::CellUpdate {
                 txn,
@@ -180,8 +189,8 @@ impl Encode for LogRecord {
                 txn.encode(buf);
                 page.encode(buf);
                 slot.encode(buf);
-                data.encode(buf);
-                before.encode(buf);
+                encode_bytes(data, buf);
+                encode_bytes(before, buf);
             }
             LogRecord::CellDelete {
                 txn,
@@ -193,7 +202,7 @@ impl Encode for LogRecord {
                 txn.encode(buf);
                 page.encode(buf);
                 slot.encode(buf);
-                before.encode(buf);
+                encode_bytes(before, buf);
             }
             LogRecord::PageAlloc { txn, page, cluster } => {
                 buf.put_u8(TAG_PAGE_ALLOC);
@@ -226,8 +235,13 @@ impl Encode for LogRecord {
     }
 }
 
-impl Decode for LogRecord {
-    fn decode(buf: &mut &[u8]) -> Result<LogRecord> {
+/// Decode a cell image into an owned `Cow`.
+fn decode_image(buf: &mut &[u8]) -> Result<Cow<'static, [u8]>> {
+    decode_bytes(buf).map(|bytes| Cow::Owned(bytes.to_vec()))
+}
+
+impl Decode for LogRecord<'static> {
+    fn decode(buf: &mut &[u8]) -> Result<LogRecord<'static>> {
         let tag = u8::decode(buf)?;
         Ok(match tag {
             TAG_BEGIN => LogRecord::Begin {
@@ -237,20 +251,20 @@ impl Decode for LogRecord {
                 txn: u64::decode(buf)?,
                 page: PageId::decode(buf)?,
                 slot: u16::decode(buf)?,
-                data: Vec::<u8>::decode(buf)?,
+                data: decode_image(buf)?,
             },
             TAG_UPDATE => LogRecord::CellUpdate {
                 txn: u64::decode(buf)?,
                 page: PageId::decode(buf)?,
                 slot: u16::decode(buf)?,
-                data: Vec::<u8>::decode(buf)?,
-                before: Vec::<u8>::decode(buf)?,
+                data: decode_image(buf)?,
+                before: decode_image(buf)?,
             },
             TAG_DELETE => LogRecord::CellDelete {
                 txn: u64::decode(buf)?,
                 page: PageId::decode(buf)?,
                 slot: u16::decode(buf)?,
-                before: Vec::<u8>::decode(buf)?,
+                before: decode_image(buf)?,
             },
             TAG_PAGE_ALLOC => LogRecord::PageAlloc {
                 txn: u64::decode(buf)?,
@@ -311,7 +325,7 @@ fn decode_header(bytes: &[u8]) -> Option<u64> {
 
 /// In-memory tail of the log: bytes appended but not yet written out.
 struct WalTail {
-    pending: Vec<u8>,
+    pending: BytesMut,
     /// Next log sequence number. LSNs are globally monotonic — they do NOT
     /// restart at [`Wal::reset`] — so a durability ticket taken before an
     /// auto-checkpoint is still satisfiable after it.
@@ -330,7 +344,7 @@ struct FlushState {
     /// The buffer the last batch was written from, emptied: the next
     /// leader swaps it in as the tail's `pending`, so the two buffers'
     /// capacity survives every flush.
-    spare: Vec<u8>,
+    spare: BytesMut,
     /// Set on the first failed WAL write/fsync; sticky until reopen.
     poisoned: Option<String>,
 }
@@ -404,7 +418,7 @@ impl Wal {
         Ok(Wal {
             path: path.to_path_buf(),
             tail: Mutex::new(WalTail {
-                pending: Vec::new(),
+                pending: BytesMut::new(),
                 next_lsn: base + valid,
                 pending_commits: 0,
             }),
@@ -412,7 +426,7 @@ impl Wal {
             flush: Mutex::new(FlushState {
                 flushed_lsn: base + valid,
                 leader_active: false,
-                spare: Vec::new(),
+                spare: BytesMut::new(),
                 poisoned: None,
             }),
             durable: Condvar::new(),
@@ -432,7 +446,7 @@ impl Wal {
     /// Append a record to the in-memory tail; returns the LSN of the
     /// record's *end*. The record is durable once [`Wal::flushed_lsn`]
     /// reaches that value — see [`Wal::commit_wait`].
-    pub fn append(&self, record: &LogRecord) -> u64 {
+    pub fn append(&self, record: &LogRecord<'_>) -> u64 {
         self.append_span(record).1
     }
 
@@ -440,22 +454,26 @@ impl Wal {
     /// frame begins) and its end LSN. The checkpointer needs the start:
     /// the log must never be truncated past where `BeginCheckpoint`
     /// *starts*, or recovery could no longer find the checkpoint.
-    pub fn append_span(&self, record: &LogRecord) -> (u64, u64) {
-        let mut payload = BytesMut::new();
-        record.encode(&mut payload);
-        let mut tail = self.tail.lock();
+    pub fn append_span(&self, record: &LogRecord<'_>) -> (u64, u64) {
+        let mut guard = self.tail.lock();
+        let tail = &mut *guard;
         let start = tail.next_lsn;
-        tail.pending
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        tail.pending
-            .extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        tail.pending.extend_from_slice(&payload);
-        tail.next_lsn += 8 + payload.len() as u64;
+        // Encode behind a placeholder header, then fill in the header from
+        // the payload as written.
+        let frame = tail.pending.len();
+        tail.pending.put_u64_le(0);
+        record.encode(&mut tail.pending);
+        let payload = &tail.pending[frame + 8..];
+        let len = payload.len() as u32;
+        let sum = fnv1a(payload);
+        tail.pending[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+        tail.pending[frame + 4..frame + 8].copy_from_slice(&sum.to_le_bytes());
+        tail.next_lsn += 8 + u64::from(len);
         if matches!(record, LogRecord::Commit { .. }) {
             tail.pending_commits += 1;
         }
         self.metrics.wal_appends.inc();
-        self.metrics.wal_bytes.add(8 + payload.len() as u64);
+        self.metrics.wal_bytes.add(8 + u64::from(len));
         (start, tail.next_lsn)
     }
 
@@ -704,7 +722,7 @@ impl Wal {
     /// torn or corrupt tail ends the scan silently (those records were
     /// never acknowledged); a missing file or missing header is an empty
     /// log.
-    pub fn read_all(path: &Path) -> Result<Vec<(u64, LogRecord)>> {
+    pub fn read_all(path: &Path) -> Result<Vec<(u64, LogRecord<'static>)>> {
         let mut out = Vec::new();
         let mut file = match std::fs::File::open(path) {
             Ok(f) => f,
@@ -762,7 +780,7 @@ mod tests {
 
     /// The records of [`Wal::read_all`] with their LSNs stripped, for
     /// tests that only care about contents.
-    fn records(path: &Path) -> Vec<LogRecord> {
+    fn records(path: &Path) -> Vec<LogRecord<'static>> {
         Wal::read_all(path)
             .unwrap()
             .into_iter()
@@ -770,7 +788,7 @@ mod tests {
             .collect()
     }
 
-    fn sample() -> Vec<LogRecord> {
+    fn sample() -> Vec<LogRecord<'static>> {
         vec![
             LogRecord::Begin { txn: 1 },
             LogRecord::PageAlloc {
@@ -782,20 +800,20 @@ mod tests {
                 txn: 1,
                 page: 1,
                 slot: 0,
-                data: b"hello".to_vec(),
+                data: b"hello".to_vec().into(),
             },
             LogRecord::CellUpdate {
                 txn: 1,
                 page: 1,
                 slot: 0,
-                data: b"world".to_vec(),
-                before: b"hello".to_vec(),
+                data: b"world".to_vec().into(),
+                before: b"hello".to_vec().into(),
             },
             LogRecord::CellDelete {
                 txn: 1,
                 page: 1,
                 slot: 0,
-                before: b"world".to_vec(),
+                before: b"world".to_vec().into(),
             },
             LogRecord::Commit { txn: 1 },
             LogRecord::Begin { txn: 2 },
@@ -978,7 +996,7 @@ mod tests {
             txn: 1,
             page: 3,
             slot: 0,
-            data: vec![7; 64],
+            data: vec![7; 64].into(),
         });
         injector.arm_write_cap(5);
         assert!(matches!(wal.flush(), Err(StorageError::WalPoisoned(_))));
@@ -1051,6 +1069,92 @@ mod tests {
             Wal::read_all(&path).unwrap(),
             vec![(begin_end, LogRecord::BeginCheckpoint), (e, end)]
         );
+    }
+
+    /// One record of every kind, with the exact frame (`len | fnv1a |
+    /// payload`, hex) each one is written as.
+    fn golden() -> Vec<(LogRecord<'static>, &'static str)> {
+        vec![
+            (LogRecord::Begin { txn: 1 }, "090000002d20fe04010100000000000000"),
+            (
+                LogRecord::CellInsert {
+                    txn: 2,
+                    page: 3,
+                    slot: 4,
+                    data: b"ode".to_vec().into(),
+                },
+                "160000000f10871e020200000000000000030000000400030000006f6465",
+            ),
+            (
+                LogRecord::CellUpdate {
+                    txn: 0x0102_0304_0506_0708,
+                    page: 0x00AB_CDEF,
+                    slot: 0xFFFE,
+                    data: vec![0xFF; 5].into(),
+                    before: Vec::new().into(),
+                },
+                "1c000000f4022564030807060504030201efcdab00feff05000000ffffffffff00000000",
+            ),
+            (
+                LogRecord::CellDelete {
+                    txn: 9,
+                    page: 1,
+                    slot: 0,
+                    before: b"gone".to_vec().into(),
+                },
+                "17000000b4b5fa4904090000000000000001000000000004000000676f6e65",
+            ),
+            (
+                LogRecord::PageAlloc {
+                    txn: 9,
+                    page: 7,
+                    cluster: 0xDEAD,
+                },
+                "110000008d817f3505090000000000000007000000adde0000",
+            ),
+            (LogRecord::Commit { txn: 9 }, "09000000f0a7e73d060900000000000000"),
+            (LogRecord::Abort { txn: u64::MAX }, "090000001efc4fbd07ffffffffffffffff"),
+            (LogRecord::BeginCheckpoint, "01000000b7690c0d08"),
+            (
+                LogRecord::EndCheckpoint {
+                    begin_lsn: 0x1000,
+                    dirty: vec![(3, 100), (7, 42)],
+                    active: vec![(11, 90)],
+                },
+                "390000000c5317dd09001000000000000002000000030000006400000000000000070000002a00000000000000010000000b000000000000005a00000000000000",
+            ),
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn every_record_kind_writes_its_pinned_frame_bytes() {
+        let dir = TempDir::new("wal");
+        let path = dir.file("log");
+        let wal = Wal::open(&path, false).unwrap();
+        let golden = golden();
+        for (record, _) in &golden {
+            wal.append(record);
+        }
+        wal.flush().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let mut frames = &bytes[WAL_HEADER as usize..];
+        let mut got = Vec::new();
+        while !frames.is_empty() {
+            let len = u32::from_le_bytes(frames[..4].try_into().unwrap()) as usize;
+            let (frame, rest) = frames.split_at(8 + len);
+            got.push(hex(frame));
+            frames = rest;
+        }
+        assert_eq!(got.len(), golden.len());
+        for ((record, want), got) in golden.iter().zip(&got) {
+            assert_eq!(got, want, "frame of {record:?}");
+        }
+        let records: Vec<_> = golden.into_iter().map(|(r, _)| r).collect();
+        assert_eq!(self::records(&path), records);
     }
 
     #[test]
