@@ -300,8 +300,8 @@ impl Database {
                 .unwrap_or_default()
         };
         for oid in oids {
-            let header = match self.read_raw(txn, oid) {
-                Ok((h, _)) => h,
+            let header = match self.read_header(txn, oid) {
+                Ok(h) => h,
                 // Deleted within the transaction: nothing to notify.
                 Err(_) => continue,
             };

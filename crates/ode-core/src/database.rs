@@ -469,10 +469,15 @@ impl Database {
     // Raw record access (shared by object ops and trigger machinery)
     // ------------------------------------------------------------------
 
+    /// The object's header and payload. The payload is the record
+    /// `Storage::read` returned, with the header bytes drained off its
+    /// front: one allocation per read.
     pub(crate) fn read_raw(&self, txn: TxnId, oid: Oid) -> Result<(ObjectHeader, Vec<u8>)> {
-        let record = self.storage.read(txn, oid)?;
+        let mut record = self.storage.read(txn, oid)?;
         let (header, payload) = ObjectHeader::split(&record)?;
-        Ok((header, payload.to_vec()))
+        let header_len = record.len() - payload.len();
+        record.drain(..header_len);
+        Ok((header, record))
     }
 
     /// Header-only read for paths that never look at the payload (event

@@ -25,9 +25,13 @@
 //!
 //! * `ODE_CRASH_SEED`  — u64 seed for the crash-point PRNG (default 0).
 //! * `ODE_CRASH_FSYNC` — `1` to fsync commits (CI); default off so the
-//!   developer loop stays fast. Recovery correctness is identical either
-//!   way because the harness crashes the *process model*, not the OS
-//!   page cache.
+//!   developer loop stays fast. Without fsync the harness crashes the
+//!   *process*: every write that returned survives in the OS page cache.
+//!   With fsync every crash point runs twice, once as a process crash and
+//!   once as a *power loss* ([`FaultInjector::power_loss`]): each crash
+//!   then also drops every write no completed `sync_data` covers and
+//!   tears the last one, so a sync missing where the ordering needs it
+//!   shows as a lost acknowledged commit or an unrepairable page.
 
 mod common;
 
@@ -41,10 +45,11 @@ const CARDS: usize = 3;
 const STEPS: usize = 20;
 const CRASH_POINTS: usize = 64;
 /// Range of the byte cap for the second crash, inside `Database::open`.
-/// Recovering this workload writes about 41 KB (five pages through the
-/// doublewrite journal, the rollback records, the log reset), so a cap
-/// drawn below this dies inside recovery.
-const REOPEN_CAP_SPAN: u64 = 40 * 1024;
+/// Recovering this workload most often writes 16,416 bytes (four pages
+/// in place, one header slot, the log reset), and up to about 21 KB when
+/// a loser's rollback logs its records and a page image, so a cap drawn
+/// below this nearly always dies inside recovery.
+const REOPEN_CAP_SPAN: u64 = 16 * 1024;
 
 /// Deterministic 64-bit LCG (Knuth's MMIX constants) so the harness
 /// needs no external rand crate and every failure reproduces from
@@ -83,6 +88,25 @@ fn crash_fsync() -> bool {
     std::env::var("ODE_CRASH_FSYNC")
         .map(|s| s == "1")
         .unwrap_or(false)
+}
+
+/// How a crash point's device dies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CrashModel {
+    /// The process dies; the OS keeps every write that returned.
+    Process,
+    /// The power goes; only what was synced survives, and the last
+    /// unsynced write lands torn.
+    PowerLoss,
+}
+
+impl CrashModel {
+    fn injector(self) -> Arc<FaultInjector> {
+        Arc::new(match self {
+            CrashModel::Process => FaultInjector::new(),
+            CrashModel::PowerLoss => FaultInjector::power_loss(),
+        })
+    }
 }
 
 fn disk_options(fsync: bool, fault: Option<Arc<FaultInjector>>) -> StorageOptions {
@@ -242,11 +266,19 @@ fn rehearse(seed: u64, fsync: bool) -> u64 {
 
 /// One crash point: run the workload with the device set to die after
 /// `budget` more bytes, crash, crash again after `reopen_cap` bytes of
-/// the reopen's recovery, recover, and check the committed prefix.
-/// Returns whether the second crash landed inside `Database::open`.
-fn run_crash_point(seed: u64, point: usize, budget: u64, reopen_cap: u64, fsync: bool) -> bool {
+/// the reopen's recovery, recover, and check the committed prefix. Both
+/// crashes follow `model`. Returns whether the second crash landed inside
+/// `Database::open`.
+fn run_crash_point(
+    seed: u64,
+    point: usize,
+    budget: u64,
+    reopen_cap: u64,
+    fsync: bool,
+    model: CrashModel,
+) -> bool {
     let dir = TempDir::new("crash-point");
-    let injector = Arc::new(FaultInjector::new());
+    let injector = model.injector();
     let (db, cards, trigs) = setup(&dir, fsync, Some(Arc::clone(&injector)));
 
     // State after the last acknowledged commit; starts at the setup state.
@@ -325,7 +357,7 @@ fn run_crash_point(seed: u64, point: usize, budget: u64, reopen_cap: u64, fsync:
     // rollback, the checkpoint's page flushes, the log reset), and the
     // half-recovered engine vanishes. Pages recovery repaired may now be
     // on disk with the log not yet reset.
-    let reopen = Arc::new(FaultInjector::new());
+    let reopen = model.injector();
     reopen.arm_write_cap(reopen_cap);
     if let Ok(db) = Database::open(dir.path(), disk_options(fsync, Some(Arc::clone(&reopen)))) {
         std::mem::forget(db);
@@ -337,7 +369,7 @@ fn run_crash_point(seed: u64, point: usize, budget: u64, reopen_cap: u64, fsync:
     let recovered = take_snapshot(&db, &cards, &trigs);
     assert_eq!(
         recovered, committed,
-        "crash point {point} (seed {seed}, budget {budget} bytes): \
+        "crash point {point} (seed {seed}, budget {budget} bytes, {model:?}): \
          recovered state is not the acknowledged-commit prefix"
     );
     // The freshly recovered engine serves the same prefix through the
@@ -346,7 +378,7 @@ fn run_crash_point(seed: u64, point: usize, budget: u64, reopen_cap: u64, fsync:
     assert_eq!(
         take_snapshot_ro(&db, &cards, &trigs),
         committed,
-        "crash point {point} (seed {seed}, budget {budget} bytes): \
+        "crash point {point} (seed {seed}, budget {budget} bytes, {model:?}): \
          post-recovery snapshot read diverged"
     );
     // The header trigger refs and the TriggerState records must agree
@@ -355,7 +387,7 @@ fn run_crash_point(seed: u64, point: usize, budget: u64, reopen_cap: u64, fsync:
         let report = db.verify_integrity(txn)?;
         assert!(
             report.is_healthy(),
-            "crash point {point} (seed {seed}, budget {budget} bytes): {:?}",
+            "crash point {point} (seed {seed}, budget {budget} bytes, {model:?}): {:?}",
             report.issues
         );
         Ok(())
@@ -376,23 +408,33 @@ fn randomized_crash_points_recover_to_a_committed_prefix() {
     // a little slack so some runs survive the whole script un-faulted.
     let span = rehearse(seed, fsync);
     assert!(span > 0, "workload must append WAL bytes");
-    let mut rng = Lcg::new(seed ^ 0xC0FF_EE00);
-    // A stream of its own, so the first crash points stay those of the
-    // seed.
-    let mut reopen_rng = Lcg::new(seed ^ 0x0DE0_0DE0);
-    let mut inside_recovery = 0;
-    for point in 0..CRASH_POINTS {
-        let budget = rng.below(span + 64);
-        let reopen_cap = reopen_rng.below(REOPEN_CAP_SPAN);
-        if run_crash_point(seed, point, budget, reopen_cap, fsync) {
-            inside_recovery += 1;
+    // A power loss drops what was never synced, so it only means
+    // something when commits sync.
+    let models: &[CrashModel] = if fsync {
+        &[CrashModel::Process, CrashModel::PowerLoss]
+    } else {
+        &[CrashModel::Process]
+    };
+    for &model in models {
+        let mut rng = Lcg::new(seed ^ 0xC0FF_EE00);
+        // A stream of its own, so the first crash points stay those of
+        // the seed.
+        let mut reopen_rng = Lcg::new(seed ^ 0x0DE0_0DE0);
+        let mut inside_recovery = 0;
+        for point in 0..CRASH_POINTS {
+            let budget = rng.below(span + 64);
+            let reopen_cap = reopen_rng.below(REOPEN_CAP_SPAN);
+            if run_crash_point(seed, point, budget, reopen_cap, fsync, model) {
+                inside_recovery += 1;
+            }
         }
+        // Guards `REOPEN_CAP_SPAN` against drifting past what recovery
+        // writes.
+        assert!(
+            inside_recovery >= CRASH_POINTS / 2,
+            "{model:?}: only {inside_recovery} of {CRASH_POINTS} second crashes landed inside recovery"
+        );
     }
-    // Guards `REOPEN_CAP_SPAN` against drifting past what recovery writes.
-    assert!(
-        inside_recovery >= CRASH_POINTS / 2,
-        "only {inside_recovery} of {CRASH_POINTS} second crashes landed inside recovery"
-    );
 }
 
 /// A `dependent`-coupled firing runs in its own system transaction

@@ -19,6 +19,8 @@ const POOL: usize = 32;
 const ROWS_PER_PAGE: usize = 3;
 /// Operations in the measured mix.
 const OPS: usize = 3_000;
+/// Checkpoint cycles the mix waits for, evenly spaced.
+const CYCLES: usize = 8;
 
 #[derive(Debug, Clone)]
 struct Row {
@@ -122,6 +124,21 @@ fn four_times_the_pool_steals_checkpoints_and_keeps_the_log_bounded() {
         }
         if op % 64 == 0 {
             wal_max = wal_max.max(storage.wal_file_len().unwrap());
+        }
+        // The checkpointer cycles on a timer, so a fast build could run
+        // the whole mix inside two intervals. At eight points the mix
+        // waits for the next cycle, so at any speed the log is recycled
+        // under traffic at least that often.
+        if (op + 1) % (OPS / CYCLES) == 0 {
+            let seen = storage.metrics().snapshot().checkpoints;
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while storage.metrics().snapshot().checkpoints == seen {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the background checkpointer stopped cycling"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
     }
     wal_max = wal_max.max(storage.wal_file_len().unwrap());

@@ -97,8 +97,8 @@ fn trigger_state_survives_crash_recovery() {
 }
 
 #[test]
-fn a_doublewrite_journal_without_its_header_is_refused_by_name() {
-    let dir = TempDir::new("dw-format");
+fn a_version_0_data_file_is_refused_by_name() {
+    let dir = TempDir::new("format-v0");
     {
         let db = Database::create(dir.path(), options(EngineKind::Disk)).unwrap();
         cred_card_class(&db);
@@ -106,13 +106,21 @@ fn a_doublewrite_journal_without_its_header_is_refused_by_name() {
             .unwrap();
         std::mem::forget(db);
     }
-    // The journal layout before its header: frames from offset 0. Its
-    // torn-page repairs cannot be read, so the open must not go ahead.
-    std::fs::write(dir.path().join("data.odb.dw"), vec![0u8; 4104]).unwrap();
+    // Byte 20 of the header page is the format version. Version 0 files
+    // kept torn-page repairs in a doublewrite journal beside the data
+    // file, which this engine does not read, so the open must not go
+    // ahead.
+    let path = dir.path().join("data.odb");
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes[20], 1);
+    bytes[20] = 0;
+    std::fs::write(&path, &bytes).unwrap();
     match Database::open(dir.path(), options(EngineKind::Disk)) {
-        Err(OdeError::UnsupportedFormat(why)) => assert!(why.contains("doublewrite"), "{why}"),
+        Err(OdeError::UnsupportedFormat(why)) => {
+            assert!(why.contains("full-page images"), "{why}")
+        }
         Err(e) => panic!("wrong error: {e}"),
-        Ok(_) => panic!("a header-less doublewrite journal was skipped"),
+        Ok(_) => panic!("a version-0 data file was opened"),
     }
 }
 

@@ -903,8 +903,8 @@ metrics! {
         /// the GC horizon far in the past).
         version_chain_len,
         /// Microseconds spent flushing a dirty frame (WAL flush-through +
-        /// doublewrite + in-place write) to steal it under memory
-        /// pressure, one sample per stolen page.
+        /// in-place write) to steal it under memory pressure, one sample
+        /// per stolen page.
         evict_flush_micros,
         /// Microseconds per session statement, end to end (parse, run,
         /// firings, and — under autocommit — the commit flush wait).

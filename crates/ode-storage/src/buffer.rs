@@ -221,8 +221,9 @@ impl BufferPool {
     /// Make room for one frame. The hand sweeps, decrementing reference
     /// counts, and the first frame it reaches at count zero is the
     /// victim: a clean one is dropped; a dirty one is *stolen* — WAL
-    /// flushed through its page LSN, image written back (journaled),
-    /// frame dropped. With no WAL the sweep passes over dirty frames and,
+    /// flushed through its page LSN (which covers the page's logged image,
+    /// the repair for a tear), image written back in place with one
+    /// `pwrite`, frame dropped. With no WAL the sweep passes over dirty frames and,
     /// finding no clean victim, lets the pool grow (no-steal).
     fn evict_one(&self, inner: &mut PoolInner) -> Result<()> {
         // Enough steps for a saturated reference counter to decay to
@@ -413,14 +414,14 @@ mod tests {
 
     fn pool(capacity: usize) -> (TempDir, BufferPool) {
         let dir = TempDir::new("pool");
-        let disk = DiskFile::create(&dir.file("db")).unwrap();
+        let disk = DiskFile::create(&dir.file("db"), None).unwrap();
         (dir, BufferPool::new(disk, capacity))
     }
 
     /// A pool with a (record-less) WAL attached, i.e. steal enabled.
     fn steal_pool(capacity: usize) -> (TempDir, BufferPool) {
         let dir = TempDir::new("pool");
-        let disk = DiskFile::create(&dir.file("db")).unwrap();
+        let disk = DiskFile::create(&dir.file("db"), None).unwrap();
         let wal = Arc::new(Wal::open(&dir.file("wal"), false).unwrap());
         let mut pool = BufferPool::new(disk, capacity);
         pool.attach_wal(wal);
@@ -506,7 +507,7 @@ mod tests {
         // Scan resistance: a page hit repeatedly (refbits saturated) must
         // survive a one-touch scan several times the pool size.
         let dir = TempDir::new("pool");
-        let disk = DiskFile::create(&dir.file("db")).unwrap();
+        let disk = DiskFile::create(&dir.file("db"), None).unwrap();
         let wal = Arc::new(Wal::open(&dir.file("wal"), false).unwrap());
         let mut p = BufferPool::new(disk, 8);
         p.attach_wal(wal);
@@ -534,7 +535,7 @@ mod tests {
         // stolen as soon as the hand reaches it, so the clean hot page is
         // not decayed and evicted for being the only clean frame.
         let dir = TempDir::new("pool");
-        let disk = DiskFile::create(&dir.file("db")).unwrap();
+        let disk = DiskFile::create(&dir.file("db"), None).unwrap();
         let wal = Arc::new(Wal::open(&dir.file("wal"), false).unwrap());
         let mut p = BufferPool::new(disk, 8);
         p.attach_wal(wal);
@@ -567,7 +568,7 @@ mod tests {
         // No WAL, no steal: a cold dirty frame the hand reaches at count
         // zero is passed over while clean scan frames are evicted round it.
         let dir = TempDir::new("pool");
-        let disk = DiskFile::create(&dir.file("db")).unwrap();
+        let disk = DiskFile::create(&dir.file("db"), None).unwrap();
         let p = BufferPool::new(disk, 4);
         let dirty = p.allocate_page().unwrap();
         p.with_page_mut(dirty, |pg| {
@@ -661,7 +662,7 @@ mod tests {
         let path = dir.file("db");
         let id;
         {
-            let disk = DiskFile::create(&path).unwrap();
+            let disk = DiskFile::create(&path, None).unwrap();
             let pool = BufferPool::new(disk, 4);
             id = pool.allocate_page().unwrap();
             pool.with_page_mut(id, |p| {
@@ -673,7 +674,7 @@ mod tests {
             h.page_count = pool.page_count();
             pool.disk().write_header(h).unwrap();
         }
-        let disk = DiskFile::open(&path).unwrap();
+        let disk = DiskFile::open(&path, None).unwrap();
         let page = disk.read_page(id).unwrap();
         assert_eq!(page.read(0).unwrap(), b"durable");
     }

@@ -33,7 +33,8 @@ pub enum StorageError {
     /// The database file is corrupt or has an unexpected format.
     Corrupt(String),
     /// A file was written in an on-disk layout this version does not
-    /// read (for example a doublewrite journal from before its header).
+    /// read (for example a version-0 data file, whose torn-page repairs
+    /// live outside the WAL).
     UnsupportedFormat(String),
     /// Decoding a stored value failed.
     Codec(String),

@@ -2,9 +2,10 @@
 //!
 //! A [`FaultInjector`] is an armable plan shared (via `Arc`) by every
 //! [`FaultFile`] of a database — the WAL file and the data file both wrap
-//! their handles in one. While disarmed it costs one atomic load per
-//! fsync and one load plus one relaxed add (the written-bytes count) per
-//! write. Armed plans model the three ways a commit pipeline dies:
+//! their handles in one. While disarmed it costs an uncontended lock and
+//! one atomic load per fsync, and the same plus one relaxed add (the
+//! written-bytes count) per write. Armed plans model the ways a commit
+//! pipeline dies:
 //!
 //! * **Write cap** — the device accepts N more bytes, writes a *prefix* of
 //!   the next overflowing write (tearing the frame mid-record), then fails
@@ -12,6 +13,15 @@
 //! * **Fsync failure** — writes land in the OS cache but `sync_data`
 //!   reports an error, after which the file is dead (fsyncgate semantics:
 //!   a failed fsync is fail-stop, not retryable).
+//!
+//! Both model a *process* crash: every write that returned is in the OS
+//! cache and survives. An injector built with
+//! [`FaultInjector::power_loss`] models a power cut instead. It keeps the
+//! prior bytes of every write that no completed `sync_data` on its file
+//! covers yet, and when a fault fires it puts them all back, newest
+//! first, so only what was synced survives; a write cap's overflowing
+//! write then lands its prefix on top, torn. Only positional writes and
+//! syncs are modelled: a truncation or a rename is durable at once.
 //!
 //! After the first injected fault the injector is *tripped*: all further
 //! writes and fsyncs fail, modelling a machine that is simply gone. The
@@ -27,7 +37,7 @@
 use ode_obs::Metrics;
 use parking_lot::Mutex;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,6 +56,16 @@ enum Plan {
     Tripped,
 }
 
+/// A write no completed sync covers yet: what its bytes replaced.
+struct Unsynced {
+    file: Arc<File>,
+    offset: u64,
+    /// The bytes the write overwrote (those below the old file end).
+    prior: Vec<u8>,
+    /// The file's length before the write.
+    len: u64,
+}
+
 /// Shared, armable fault plan. See module docs.
 pub struct FaultInjector {
     armed: AtomicBool,
@@ -53,6 +73,12 @@ pub struct FaultInjector {
     injected: AtomicU64,
     written: AtomicU64,
     metrics: Mutex<Option<Arc<Metrics>>>,
+    /// Whether a fault cuts power ([`FaultInjector::power_loss`]).
+    power_loss: bool,
+    /// Power-loss mode: the writes no completed sync covers, oldest
+    /// first. Held across each write and sync, so a fault that rolls them
+    /// back never races one.
+    unsynced: Mutex<Vec<Unsynced>>,
 }
 
 impl std::fmt::Debug for FaultInjector {
@@ -90,6 +116,20 @@ impl FaultInjector {
             injected: AtomicU64::new(0),
             written: AtomicU64::new(0),
             metrics: Mutex::new(None),
+            power_loss: false,
+            unsynced: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// A disarmed injector whose faults cut power: when one fires, every
+    /// write that no completed `sync_data` on its file covers is undone,
+    /// and a write cap's overflowing write lands torn on top. From
+    /// creation on it keeps the prior bytes of each unsynced write, so it
+    /// suits crash tests that sync (fsync on).
+    pub fn power_loss() -> FaultInjector {
+        FaultInjector {
+            power_loss: true,
+            ..FaultInjector::new()
         }
     }
 
@@ -196,6 +236,60 @@ impl FaultInjector {
             }
         }
     }
+
+    /// Write `buf` at `offset` of `file` under the plan, keeping its prior
+    /// bytes in power-loss mode; a fault there first undoes every
+    /// unsynced write.
+    fn write_at(&self, file: &Arc<File>, buf: &[u8], offset: u64) -> std::io::Result<()> {
+        let mut unsynced = self.unsynced.lock();
+        match self.on_write(buf.len()) {
+            WriteOutcome::Full => {
+                if self.power_loss {
+                    let len = file.metadata()?.len();
+                    let mut prior =
+                        vec![0; len.saturating_sub(offset).min(buf.len() as u64) as usize];
+                    file.read_exact_at(&mut prior, offset)?;
+                    unsynced.push(Unsynced {
+                        file: Arc::clone(file),
+                        offset,
+                        prior,
+                        len,
+                    });
+                }
+                file.write_all_at(buf, offset)
+            }
+            WriteOutcome::Torn(n) => {
+                // The device dies mid-write: a prefix reaches the file.
+                self.cut_power(&mut unsynced)?;
+                file.write_all_at(&buf[..n], offset)?;
+                Err(dead("write killed by byte cap"))
+            }
+            WriteOutcome::Dead => Err(dead("write after device death")),
+        }
+    }
+
+    /// `sync_data` of `file` under the plan: once it completes, the
+    /// file's unsynced writes are durable.
+    fn sync(&self, file: &Arc<File>) -> std::io::Result<()> {
+        let mut unsynced = self.unsynced.lock();
+        if let Err(e) = self.on_fsync() {
+            self.cut_power(&mut unsynced)?;
+            return Err(e);
+        }
+        file.sync_data()?;
+        unsynced.retain(|w| !Arc::ptr_eq(&w.file, file));
+        Ok(())
+    }
+
+    /// Undo every unsynced write, newest first (none are kept outside
+    /// power-loss mode).
+    fn cut_power(&self, unsynced: &mut Vec<Unsynced>) -> std::io::Result<()> {
+        for w in unsynced.drain(..).rev() {
+            w.file.write_all_at(&w.prior, w.offset)?;
+            w.file.set_len(w.len)?;
+        }
+        Ok(())
+    }
 }
 
 fn dead(what: &str) -> std::io::Error {
@@ -206,53 +300,40 @@ fn dead(what: &str) -> std::io::Error {
 /// [`FaultInjector`]. Reads, seeks, and truncation pass through untouched
 /// (a crashed machine stops *writing*; recovery reads are real I/O).
 pub struct FaultFile {
-    file: File,
+    file: Arc<File>,
     injector: Option<Arc<FaultInjector>>,
 }
 
 impl FaultFile {
     /// Wrap `file`; `injector: None` is zero-overhead pass-through.
     pub fn new(file: File, injector: Option<Arc<FaultInjector>>) -> FaultFile {
-        FaultFile { file, injector }
-    }
-
-    /// Write all of `buf`, subject to the armed fault plan.
-    pub fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
-        match self.injector.as_ref().map(|i| i.on_write(buf.len())) {
-            None | Some(WriteOutcome::Full) => self.file.write_all(buf),
-            Some(WriteOutcome::Torn(n)) => {
-                // The device dies mid-write: a prefix reaches the file.
-                self.file.write_all(&buf[..n])?;
-                Err(dead("write killed by byte cap"))
-            }
-            Some(WriteOutcome::Dead) => Err(dead("write after device death")),
+        FaultFile {
+            file: Arc::new(file),
+            injector,
         }
     }
 
     /// Write all of `buf` at byte `offset` (one `pwrite`, no seek),
-    /// subject to the armed fault plan exactly like [`FaultFile::write_all`].
+    /// subject to the armed fault plan: a write cap tears the write that
+    /// crosses it.
     pub fn write_all_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
-        match self.injector.as_ref().map(|i| i.on_write(buf.len())) {
-            None | Some(WriteOutcome::Full) => self.file.write_all_at(buf, offset),
-            Some(WriteOutcome::Torn(n)) => {
-                self.file.write_all_at(&buf[..n], offset)?;
-                Err(dead("write killed by byte cap"))
-            }
-            Some(WriteOutcome::Dead) => Err(dead("write after device death")),
+        match &self.injector {
+            None => self.file.write_all_at(buf, offset),
+            Some(injector) => injector.write_at(&self.file, buf, offset),
         }
     }
 
     /// `sync_data`, subject to the armed fault plan.
     pub fn sync_data(&self) -> std::io::Result<()> {
-        if let Some(injector) = &self.injector {
-            injector.on_fsync()?;
+        match &self.injector {
+            None => self.file.sync_data(),
+            Some(injector) => injector.sync(&self.file),
         }
-        self.file.sync_data()
     }
 
     /// Seek (pass-through).
     pub fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
-        self.file.seek(pos)
+        (&*self.file).seek(pos)
     }
 
     /// Exact read at byte `offset` (one `pread`, no seek; pass-through).
@@ -262,7 +343,7 @@ impl FaultFile {
 
     /// Read to end (pass-through).
     pub fn read_to_end(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
-        self.file.read_to_end(buf)
+        (&*self.file).read_to_end(buf)
     }
 
     /// Truncate (pass-through; recovery repairs torn tails with this).
@@ -291,7 +372,7 @@ mod tests {
     fn pass_through_without_injector() {
         let dir = TempDir::new("fault");
         let mut f = scratch(&dir, None);
-        f.write_all(b"hello").unwrap();
+        f.write_all_at(b"hello", 0).unwrap();
         f.sync_data().unwrap();
         f.seek(SeekFrom::Start(0)).unwrap();
         let mut buf = Vec::new();
@@ -305,12 +386,12 @@ mod tests {
         let injector = Arc::new(FaultInjector::new());
         let mut f = scratch(&dir, Some(Arc::clone(&injector)));
         injector.arm_write_cap(6);
-        f.write_all(b"abcd").unwrap(); // 4 of 6 bytes used
-        let err = f.write_all(b"efgh").unwrap_err(); // tears after 2 bytes
+        f.write_all_at(b"abcd", 0).unwrap(); // 4 of 6 bytes used
+        let err = f.write_all_at(b"efgh", 4).unwrap_err(); // tears after 2 bytes
         assert!(err.to_string().contains("fault injected"));
         assert!(injector.tripped());
         // Device dead: further writes and fsyncs fail.
-        assert!(f.write_all(b"x").is_err());
+        assert!(f.write_all_at(b"x", 6).is_err());
         assert!(f.sync_data().is_err());
         assert!(injector.injected() >= 3);
         // The torn prefix reached the file.
@@ -339,23 +420,23 @@ mod tests {
     fn fsync_failure_trips() {
         let dir = TempDir::new("fault");
         let injector = Arc::new(FaultInjector::new());
-        let mut f = scratch(&dir, Some(Arc::clone(&injector)));
+        let f = scratch(&dir, Some(Arc::clone(&injector)));
         injector.arm_fail_fsync();
-        f.write_all(b"written but never durable").unwrap();
+        f.write_all_at(b"written but never durable", 0).unwrap();
         assert!(f.sync_data().is_err());
         assert!(injector.tripped());
-        assert!(f.write_all(b"x").is_err());
+        assert!(f.write_all_at(b"x", 0).is_err());
     }
 
     #[test]
     fn disarm_restores_io() {
         let dir = TempDir::new("fault");
         let injector = Arc::new(FaultInjector::new());
-        let mut f = scratch(&dir, Some(Arc::clone(&injector)));
+        let f = scratch(&dir, Some(Arc::clone(&injector)));
         injector.arm_write_cap(0);
-        assert!(f.write_all(b"no").is_err());
+        assert!(f.write_all_at(b"no", 0).is_err());
         injector.disarm();
-        f.write_all(b"yes").unwrap();
+        f.write_all_at(b"yes", 0).unwrap();
         f.sync_data().unwrap();
     }
 
@@ -370,5 +451,53 @@ mod tests {
         assert!(f.sync_data().is_err());
         assert_eq!(metrics.snapshot().faults_injected, 1);
         assert_eq!(injector.injected(), 1);
+    }
+
+    fn contents(f: &mut FaultFile) -> Vec<u8> {
+        f.seek(SeekFrom::Start(0)).unwrap();
+        let mut buf = Vec::new();
+        f.read_to_end(&mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn power_loss_keeps_what_was_synced_and_tears_the_last_write() {
+        let dir = TempDir::new("fault");
+        let injector = Arc::new(FaultInjector::power_loss());
+        let mut f = scratch(&dir, Some(Arc::clone(&injector)));
+        f.write_all_at(b"durable!", 0).unwrap();
+        f.sync_data().unwrap();
+        // Overwritten and extended, but never synced.
+        f.write_all_at(b"LOST", 2).unwrap();
+        f.write_all_at(b"gone too", 8).unwrap();
+        injector.arm_write_cap(3);
+        assert!(f.write_all_at(b"torn", 4).is_err());
+        assert!(injector.tripped());
+        // Both unsynced writes are undone; 3 bytes of the last one land.
+        assert_eq!(contents(&mut f), b"durator!");
+    }
+
+    #[test]
+    fn power_loss_undoes_each_file_back_to_its_own_last_sync() {
+        let dir = TempDir::new("fault");
+        let injector = Arc::new(FaultInjector::power_loss());
+        let open = |name: &str| {
+            let file = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(dir.file(name))
+                .unwrap();
+            FaultFile::new(file, Some(Arc::clone(&injector)))
+        };
+        let (mut log, mut data) = (open("log"), open("data"));
+        log.write_all_at(b"commit", 0).unwrap();
+        data.write_all_at(b"page", 0).unwrap();
+        log.sync_data().unwrap(); // covers the log only
+        injector.arm_fail_fsync();
+        assert!(data.sync_data().is_err());
+        assert_eq!(contents(&mut log), b"commit");
+        assert!(contents(&mut data).is_empty(), "an unsynced write survived");
     }
 }

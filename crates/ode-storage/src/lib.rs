@@ -10,8 +10,9 @@
 //!   engines ([`storage::EngineKind::Disk`] / [`storage::EngineKind::Memory`]),
 //!   shared locking/transaction/rollback run-time.
 //! * [`page`] — slotted pages; [`disk`] + [`buffer`] — the EOS-like page
-//!   file (positional page I/O, a doublewrite journal against torn page
-//!   writes) and its steal/no-force buffer pool; [`mem`] — the Dali-like
+//!   file (one positional `pwrite` per page write; torn pages are
+//!   repaired from full-page images in the WAL) and its steal/no-force
+//!   buffer pool; [`mem`] — the Dali-like
 //!   in-memory page store with checkpoint durability.
 //! * [`wal`] — physiological write-ahead logging with ARIES-style
 //!   recovery: repeat history from the checkpoint, then abort the losers

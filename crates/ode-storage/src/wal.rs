@@ -21,11 +21,11 @@
 //! rides the same mechanism.
 //!
 //! The file starts with a 16-byte header: an 8-byte magic plus the
-//! `base_lsn` — the LSN of the first byte stored after the header. Frame
-//! format after that: `[len u32][fnv1a-checksum u32][payload]`. A torn
-//! tail (short frame or bad checksum) ends replay; everything before it
-//! is used, and [`Wal::open`] *truncates* the tear so fresh appends can
-//! never land behind unreachable garbage.
+//! `base_lsn` — the LSN of the first byte stored after the header. Frames
+//! follow: `[len u32][checksum u32][payload]`, FNV-1a but for a page
+//! image (see `checksum`). A torn tail (short frame or bad checksum) ends
+//! replay; everything before it is used, and [`Wal::open`] *truncates*
+//! the tear so fresh appends can never land behind unreachable garbage.
 //!
 //! An append copies a record's bytes once: the record is encoded straight
 //! into the in-memory tail behind a placeholder frame header, which is
@@ -33,6 +33,16 @@
 //! over the bytes just written. Cell images travel as borrowed slices
 //! ([`LogRecord`]'s byte fields are `Cow`s), so the caller hands the log
 //! the bytes it already holds; only decoding owns them.
+//!
+//! ## Full-page images
+//!
+//! The WAL is the only repair for a torn page write. The first logged
+//! change to a page stamped at or below the *redo point* (the start of
+//! the last `BeginCheckpoint`, or the log end at open and at
+//! [`Wal::reset`]) is followed by a [`LogRecord::PageImage`] carrying
+//! the page's after-image ([`Wal::append_change`]), so every page an
+//! in-place write could tear has an image inside the redo range of any
+//! checkpoint recovery may start from.
 //!
 //! ## LSNs and group commit
 //!
@@ -46,8 +56,7 @@
 //! becomes the *leader*, takes the whole pending tail, and makes it
 //! durable with a single write+fsync while followers block on the
 //! watermark via condvar — one fsync amortised over every commit in the
-//! batch. With group commit disabled (the pre-refactor baseline, kept for
-//! benchmarking) every committer runs its own flush cycle.
+//! batch. A committer that finds no flush in progress leads its own.
 //!
 //! A failed WAL write or fsync *poisons* the log: the batch may be torn on
 //! disk, so no later commit can be allowed to succeed (fsyncgate
@@ -59,6 +68,7 @@ use crate::codec::{decode_bytes, encode_bytes, Decode, Encode};
 use crate::error::{Result, StorageError};
 use crate::fault::{FaultFile, FaultInjector};
 use crate::oid::{ClusterId, PageId};
+use crate::page::{Page, PAGE_SIZE};
 use bytes::{BufMut, BytesMut};
 use ode_obs::{FlightEvent, Metrics};
 use parking_lot::{Condvar, Mutex};
@@ -130,6 +140,10 @@ pub enum LogRecord<'a> {
         dirty: Vec<(PageId, u64)>,
         active: Vec<(u64, u64)>,
     },
+    /// The whole page as it stood after the change logged just before
+    /// this record (see [`Wal::append_change`]). Recovery restores it
+    /// whatever the page on disk holds: a torn page's LSN is garbage.
+    PageImage { page: PageId, image: Cow<'a, [u8]> },
 }
 
 const TAG_BEGIN: u8 = 1;
@@ -141,6 +155,7 @@ const TAG_COMMIT: u8 = 6;
 const TAG_ABORT: u8 = 7;
 const TAG_BEGIN_CKPT: u8 = 8;
 const TAG_END_CKPT: u8 = 9;
+const TAG_PAGE_IMAGE: u8 = 10;
 
 impl LogRecord<'_> {
     /// The transaction the record belongs to. Checkpoint records belong
@@ -154,7 +169,21 @@ impl LogRecord<'_> {
             | LogRecord::PageAlloc { txn, .. }
             | LogRecord::Commit { txn }
             | LogRecord::Abort { txn } => *txn,
-            LogRecord::BeginCheckpoint | LogRecord::EndCheckpoint { .. } => 0,
+            LogRecord::BeginCheckpoint
+            | LogRecord::EndCheckpoint { .. }
+            | LogRecord::PageImage { .. } => 0,
+        }
+    }
+
+    /// The page the record changes, if it changes one.
+    pub fn page(&self) -> Option<PageId> {
+        match self {
+            LogRecord::CellInsert { page, .. }
+            | LogRecord::CellUpdate { page, .. }
+            | LogRecord::CellDelete { page, .. }
+            | LogRecord::PageAlloc { page, .. }
+            | LogRecord::PageImage { page, .. } => Some(*page),
+            _ => None,
         }
     }
 }
@@ -231,6 +260,11 @@ impl Encode for LogRecord<'_> {
                 dirty.encode(buf);
                 active.encode(buf);
             }
+            LogRecord::PageImage { page, image } => {
+                buf.put_u8(TAG_PAGE_IMAGE);
+                page.encode(buf);
+                encode_bytes(image, buf);
+            }
         }
     }
 }
@@ -283,18 +317,63 @@ impl Decode for LogRecord<'static> {
                 dirty: Vec::<(PageId, u64)>::decode(buf)?,
                 active: Vec::<(u64, u64)>::decode(buf)?,
             },
+            TAG_PAGE_IMAGE => {
+                let page = PageId::decode(buf)?;
+                let image = decode_image(buf)?;
+                if image.len() != PAGE_SIZE {
+                    return Err(StorageError::Codec(format!(
+                        "page image of {} bytes",
+                        image.len()
+                    )));
+                }
+                LogRecord::PageImage { page, image }
+            }
             t => return Err(StorageError::Codec(format!("bad log record tag {t}"))),
         })
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u32 {
+/// FNV-1a, the checksum of every log frame but a page image's (the data
+/// file's header slots use it too).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for &b in bytes {
         h ^= b as u32;
         h = h.wrapping_mul(0x0100_0193);
     }
     h
+}
+
+/// The checksum a frame carries: FNV-1a over the payload, except for a
+/// page image, whose 4 KiB would cost FNV-1a's byte-serial multiply chain
+/// about 6 µs under the page latch. An image is summed with four
+/// independent multiply-rotate lanes over its `u64` words, the first
+/// seeded with FNV-1a of the record's head (tag, page id, length). Each
+/// lane step is a bijection of the lane and of the word, so images that
+/// differ in any word leave some lane different; only the final fold to
+/// 32 bits can collide, about 2^-32.
+fn checksum(payload: &[u8]) -> u32 {
+    const HEAD: usize = 9;
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let image = match payload.get(HEAD..) {
+        Some(image) if payload[0] == TAG_PAGE_IMAGE && image.len() % 32 == 0 => image,
+        _ => return fnv1a(payload),
+    };
+    let mut lanes = [
+        u64::from(fnv1a(&payload[..HEAD])),
+        0x1319_8A2E_0370_7344,
+        0xA409_3822_299F_31D0,
+        0x082E_FA98_EC4E_6C89,
+    ];
+    for block in image.chunks_exact(32) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+            *lane = ((*lane ^ word).wrapping_mul(K)).rotate_left(29);
+        }
+    }
+    let h =
+        lanes[0] ^ lanes[1].rotate_left(16) ^ lanes[2].rotate_left(32) ^ lanes[3].rotate_left(48);
+    (h ^ (h >> 32)) as u32
 }
 
 /// Magic prefix of the 16-byte WAL file header.
@@ -332,6 +411,9 @@ struct WalTail {
     next_lsn: u64,
     /// Commit records sitting in `pending` (feeds the group-size metric).
     pending_commits: u64,
+    /// The redo point: a change to a page stamped at or below it logs the
+    /// page's image (see the module docs).
+    redo_lsn: u64,
 }
 
 /// Durability watermark + leader election for group commit.
@@ -421,6 +503,7 @@ impl Wal {
                 pending: BytesMut::new(),
                 next_lsn: base + valid,
                 pending_commits: 0,
+                redo_lsn: base + valid,
             }),
             file: Mutex::new(file),
             flush: Mutex::new(FlushState {
@@ -455,17 +538,42 @@ impl Wal {
     /// the log must never be truncated past where `BeginCheckpoint`
     /// *starts*, or recovery could no longer find the checkpoint.
     pub fn append_span(&self, record: &LogRecord<'_>) -> (u64, u64) {
-        let mut guard = self.tail.lock();
-        let tail = &mut *guard;
+        let mut tail = self.tail.lock();
         let start = tail.next_lsn;
-        // Encode behind a placeholder header, then fill in the header from
-        // the payload as written.
+        if matches!(record, LogRecord::BeginCheckpoint) {
+            tail.redo_lsn = start;
+        }
+        (start, self.append_locked(&mut tail, record))
+    }
+
+    /// Append `record`, a change already applied to `page` but not yet
+    /// stamped on it, and return the LSN to stamp. When the page's LSN is
+    /// at or below the redo point, its after-image follows the record as
+    /// a [`LogRecord::PageImage`] and the image's end is returned.
+    pub fn append_change(&self, record: &LogRecord<'_>, page: &Page) -> u64 {
+        let mut tail = self.tail.lock();
+        let end = self.append_locked(&mut tail, record);
+        match record.page() {
+            Some(id) if page.lsn() <= tail.redo_lsn => {
+                let image = LogRecord::PageImage {
+                    page: id,
+                    image: Cow::Borrowed(page.as_bytes()),
+                };
+                self.append_locked(&mut tail, &image)
+            }
+            _ => end,
+        }
+    }
+
+    /// Encode `record` into the tail behind a placeholder header, fill in
+    /// the header from the payload as written, and return its end LSN.
+    fn append_locked(&self, tail: &mut WalTail, record: &LogRecord<'_>) -> u64 {
         let frame = tail.pending.len();
         tail.pending.put_u64_le(0);
         record.encode(&mut tail.pending);
         let payload = &tail.pending[frame + 8..];
         let len = payload.len() as u32;
-        let sum = fnv1a(payload);
+        let sum = checksum(payload);
         tail.pending[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
         tail.pending[frame + 4..frame + 8].copy_from_slice(&sum.to_le_bytes());
         tail.next_lsn += 8 + u64::from(len);
@@ -474,7 +582,7 @@ impl Wal {
         }
         self.metrics.wal_appends.inc();
         self.metrics.wal_bytes.add(8 + u64::from(len));
-        (start, tail.next_lsn)
+        tail.next_lsn
     }
 
     /// The durability watermark: every append whose returned LSN is `<=`
@@ -603,9 +711,10 @@ impl Wal {
     }
 
     /// Empty the log (done right after a quiesced checkpoint, when the
-    /// data file already reflects everything). The LSN clock keeps
-    /// running — the header's `base_lsn` is rewritten to the current end —
-    /// and the now-empty log is durable by definition, so durability
+    /// data file already reflects everything), and move the redo point to
+    /// its end: the next change to each page logs its image. The LSN
+    /// clock keeps running — the header's `base_lsn` is rewritten to the
+    /// current end — and the now-empty log is durable by definition, so durability
     /// tickets taken before the reset remain satisfied. The empty image is
     /// renamed over the log like [`Wal::truncate_prefix`]'s, so a crash
     /// leaves the old log or the new one, never a header-less file that
@@ -620,6 +729,7 @@ impl Wal {
         self.replace_file(&mut file, tail.next_lsn, &[])?;
         tail.pending.clear();
         tail.pending_commits = 0;
+        tail.redo_lsn = tail.next_lsn;
         st.flushed_lsn = tail.next_lsn;
         self.durable.notify_all();
         Ok(())
@@ -640,9 +750,9 @@ impl Wal {
                 .create(true)
                 .truncate(true)
                 .open(&tmp_path)?;
-            let mut tmp = FaultFile::new(tmp, self.injector.clone());
-            tmp.write_all(&encode_header(base))?;
-            tmp.write_all(frames)?;
+            let tmp = FaultFile::new(tmp, self.injector.clone());
+            tmp.write_all_at(&encode_header(base), 0)?;
+            tmp.write_all_at(frames, WAL_HEADER)?;
             if self.fsync {
                 tmp.sync_data()?;
             }
@@ -765,7 +875,7 @@ fn scan_valid_len(bytes: &[u8]) -> usize {
             break; // torn tail
         }
         let payload = &bytes[offset + 8..offset + 8 + len];
-        if fnv1a(payload) != sum {
+        if checksum(payload) != sum {
             break; // corrupt tail
         }
         offset += 8 + len;
@@ -818,6 +928,12 @@ mod tests {
             LogRecord::Commit { txn: 1 },
             LogRecord::Begin { txn: 2 },
             LogRecord::Abort { txn: 2 },
+            // Last, so the corruption tests below flip a byte of its
+            // image, which is summed word by word.
+            LogRecord::PageImage {
+                page: 1,
+                image: vec![0xA5; PAGE_SIZE].into(),
+            },
         ]
     }
 
@@ -1071,10 +1187,17 @@ mod tests {
         );
     }
 
-    /// One record of every kind, with the exact frame (`len | fnv1a |
-    /// payload`, hex) each one is written as.
-    fn golden() -> Vec<(LogRecord<'static>, &'static str)> {
-        vec![
+    /// One record of every kind, with the exact frame (`len | checksum |
+    /// payload`, hex) each one is written as. A page image's frame is its
+    /// pinned head (length, checksum, tag, page id, image length) followed
+    /// by the image's own bytes; the checksum covers them all.
+    fn golden() -> Vec<(LogRecord<'static>, String)> {
+        let mut page = Page::new();
+        page.insert(b"ode").unwrap();
+        page.set_lsn(0x1234);
+        let image = page.as_bytes().to_vec();
+        let image_frame = format!("091000005a42ef390a0b00000000100000{}", hex(&image));
+        let fixed: Vec<(LogRecord<'static>, &'static str)> = vec![
             (LogRecord::Begin { txn: 1 }, "090000002d20fe04010100000000000000"),
             (
                 LogRecord::CellInsert {
@@ -1123,7 +1246,16 @@ mod tests {
                 },
                 "390000000c5317dd09001000000000000002000000030000006400000000000000070000002a00000000000000010000000b000000000000005a00000000000000",
             ),
-        ]
+        ];
+        let mut golden: Vec<_> = fixed.into_iter().map(|(r, h)| (r, h.to_string())).collect();
+        golden.push((
+            LogRecord::PageImage {
+                page: 11,
+                image: image.into(),
+            },
+            image_frame,
+        ));
+        golden
     }
 
     fn hex(bytes: &[u8]) -> String {
