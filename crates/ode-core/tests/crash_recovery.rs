@@ -31,7 +31,10 @@
 //!   once as a *power loss* ([`FaultInjector::power_loss`]): each crash
 //!   then also drops every write no completed `sync_data` covers and
 //!   tears the last one, so a sync missing where the ordering needs it
-//!   shows as a lost acknowledged commit or an unrepairable page.
+//!   shows as a lost acknowledged commit or an unrepairable page. The torn
+//!   write lands a subset of its 512-byte sectors below the cap, which
+//!   the seed and the crash point pick, so a torn page can keep its old
+//!   LSN.
 
 mod common;
 
@@ -101,10 +104,12 @@ enum CrashModel {
 }
 
 impl CrashModel {
-    fn injector(self) -> Arc<FaultInjector> {
+    /// A fresh injector; `seed` picks which sectors a power cut's torn
+    /// write lands.
+    fn injector(self, seed: u64) -> Arc<FaultInjector> {
         Arc::new(match self {
             CrashModel::Process => FaultInjector::new(),
-            CrashModel::PowerLoss => FaultInjector::power_loss(),
+            CrashModel::PowerLoss => FaultInjector::power_loss(seed),
         })
     }
 }
@@ -278,7 +283,7 @@ fn run_crash_point(
     model: CrashModel,
 ) -> bool {
     let dir = TempDir::new("crash-point");
-    let injector = model.injector();
+    let injector = model.injector(seed ^ point as u64);
     let (db, cards, trigs) = setup(&dir, fsync, Some(Arc::clone(&injector)));
 
     // State after the last acknowledged commit; starts at the setup state.
@@ -357,7 +362,7 @@ fn run_crash_point(
     // rollback, the checkpoint's page flushes, the log reset), and the
     // half-recovered engine vanishes. Pages recovery repaired may now be
     // on disk with the log not yet reset.
-    let reopen = model.injector();
+    let reopen = model.injector(!seed ^ point as u64);
     reopen.arm_write_cap(reopen_cap);
     if let Ok(db) = Database::open(dir.path(), disk_options(fsync, Some(Arc::clone(&reopen)))) {
         std::mem::forget(db);

@@ -19,9 +19,14 @@
 //! [`FaultInjector::power_loss`] models a power cut instead. It keeps the
 //! prior bytes of every write that no completed `sync_data` on its file
 //! covers yet, and when a fault fires it puts them all back, newest
-//! first, so only what was synced survives; a write cap's overflowing
-//! write then lands its prefix on top, torn. Only positional writes and
-//! syncs are modelled: a truncation or a rename is durable at once.
+//! first, so only what was synced survives. A write cap's overflowing
+//! write then lands torn on top, the way a disk tears one: sector by
+//! sector, in no particular order. Nothing past the cap reached the
+//! device. Of the bytes below it, each 512-byte file sector lands whole
+//! or not at all, as the injector's seed decides, except the piece that
+//! ends at the cap, which always lands — so a later sector can land while
+//! an earlier one does not. Only positional writes and syncs are
+//! modelled: a truncation or a rename is durable at once.
 //!
 //! After the first injected fault the injector is *tripped*: all further
 //! writes and fsyncs fail, modelling a machine that is simply gone. The
@@ -79,6 +84,8 @@ pub struct FaultInjector {
     /// first. Held across each write and sync, so a fault that rolls them
     /// back never races one.
     unsynced: Mutex<Vec<Unsynced>>,
+    /// Power-loss mode: decides which sectors of a torn write land.
+    seed: u64,
 }
 
 impl std::fmt::Debug for FaultInjector {
@@ -118,17 +125,20 @@ impl FaultInjector {
             metrics: Mutex::new(None),
             power_loss: false,
             unsynced: Mutex::new(Vec::new()),
+            seed: 0,
         }
     }
 
     /// A disarmed injector whose faults cut power: when one fires, every
     /// write that no completed `sync_data` on its file covers is undone,
-    /// and a write cap's overflowing write lands torn on top. From
-    /// creation on it keeps the prior bytes of each unsynced write, so it
-    /// suits crash tests that sync (fsync on).
-    pub fn power_loss() -> FaultInjector {
+    /// and a write cap's overflowing write lands torn on top: a subset of
+    /// its sectors below the cap that `seed` picks. From creation on it
+    /// keeps the prior bytes of each unsynced write, so it suits crash
+    /// tests that sync (fsync on).
+    pub fn power_loss(seed: u64) -> FaultInjector {
         FaultInjector {
             power_loss: true,
+            seed,
             ..FaultInjector::new()
         }
     }
@@ -259,9 +269,20 @@ impl FaultInjector {
                 file.write_all_at(buf, offset)
             }
             WriteOutcome::Torn(n) => {
-                // The device dies mid-write: a prefix reaches the file.
+                // The device dies mid-write. Of the bytes below the cap, a
+                // process crash leaves all (the OS took them); a power cut
+                // lands each sector or not, but always the cap's piece.
                 self.cut_power(&mut unsynced)?;
-                file.write_all_at(&buf[..n], offset)?;
+                let cap = offset + n as u64;
+                let mut at = offset;
+                while at < cap {
+                    let end = ((at / SECTOR + 1) * SECTOR).min(cap);
+                    if end == cap || !self.power_loss || mix(self.seed ^ (at / SECTOR)) & 1 == 1 {
+                        let piece = &buf[(at - offset) as usize..(end - offset) as usize];
+                        file.write_all_at(piece, at)?;
+                    }
+                    at = end;
+                }
                 Err(dead("write killed by byte cap"))
             }
             WriteOutcome::Dead => Err(dead("write after device death")),
@@ -290,6 +311,17 @@ impl FaultInjector {
         }
         Ok(())
     }
+}
+
+/// The unit a power cut tears a write into: each lands whole or not at all.
+const SECTOR: u64 = 512;
+
+/// splitmix64's finaliser: a well-spread 64-bit hash of `x`.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 fn dead(what: &str) -> std::io::Error {
@@ -463,7 +495,7 @@ mod tests {
     #[test]
     fn power_loss_keeps_what_was_synced_and_tears_the_last_write() {
         let dir = TempDir::new("fault");
-        let injector = Arc::new(FaultInjector::power_loss());
+        let injector = Arc::new(FaultInjector::power_loss(0));
         let mut f = scratch(&dir, Some(Arc::clone(&injector)));
         f.write_all_at(b"durable!", 0).unwrap();
         f.sync_data().unwrap();
@@ -480,7 +512,7 @@ mod tests {
     #[test]
     fn power_loss_undoes_each_file_back_to_its_own_last_sync() {
         let dir = TempDir::new("fault");
-        let injector = Arc::new(FaultInjector::power_loss());
+        let injector = Arc::new(FaultInjector::power_loss(0));
         let open = |name: &str| {
             let file = std::fs::OpenOptions::new()
                 .read(true)
@@ -499,5 +531,38 @@ mod tests {
         assert!(data.sync_data().is_err());
         assert_eq!(contents(&mut log), b"commit");
         assert!(contents(&mut data).is_empty(), "an unsynced write survived");
+    }
+
+    #[test]
+    fn a_power_loss_tear_lands_whole_sectors_in_any_order() {
+        // Three sectors of old bytes, synced; then a write of three
+        // sectors of new ones whose cap falls inside the third: nothing
+        // past the cap lands, and each sector before it whole or not.
+        let mut later_without_earlier = false;
+        for seed in 0..32 {
+            let dir = TempDir::new("fault");
+            let injector = Arc::new(FaultInjector::power_loss(seed));
+            let mut f = scratch(&dir, Some(Arc::clone(&injector)));
+            f.write_all_at(&[b'o'; 1536], 0).unwrap();
+            f.sync_data().unwrap();
+            injector.arm_write_cap(1100);
+            assert!(f.write_all_at(&[b'n'; 1536], 0).is_err());
+            let bytes = contents(&mut f);
+            let sector = |i: usize| &bytes[i * 512..(i + 1) * 512];
+            for i in 0..2 {
+                assert!(
+                    sector(i).iter().all(|&b| b == sector(i)[0]),
+                    "seed {seed}: sector {i} landed in part"
+                );
+            }
+            // The piece that ends at the cap lands.
+            assert!(bytes[1024..1100].iter().all(|&b| b == b'n'));
+            assert!(bytes[1100..].iter().all(|&b| b == b'o'));
+            later_without_earlier |= sector(0)[0] == b'o' && sector(1)[0] == b'n';
+        }
+        assert!(
+            later_without_earlier,
+            "no seed landed sector 1 without sector 0"
+        );
     }
 }

@@ -52,7 +52,7 @@ const SLOT_ENTRY: usize = 4;
 pub const MIN_CELL: usize = 7;
 
 /// Page space taken by a live cell of `len` bytes.
-fn footprint(len: usize) -> usize {
+pub(crate) fn footprint(len: usize) -> usize {
     len.max(MIN_CELL)
 }
 

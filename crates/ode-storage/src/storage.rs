@@ -53,7 +53,7 @@ use crate::hash::{IntMap, IntSet};
 use crate::lock::{LockKey, LockManager, LockMode, LockStats};
 use crate::mem::MemStore;
 use crate::oid::{ClusterId, Oid, PageId, FIRST_USER_CLUSTER, SYSTEM_CLUSTER, UNASSIGNED_CLUSTER};
-use crate::page::{Page, PageOpError, MAX_RECORD};
+use crate::page::{footprint, Page, PageOpError, MAX_RECORD};
 use crate::txn::{TxnId, TxnManager, TxnState, UndoOp};
 use crate::version::{SnapshotLookup, VersionStats, VersionStore};
 use crate::wal::{LogRecord, Wal};
@@ -478,21 +478,17 @@ impl Storage {
 
     /// Roll back every loser: their undo steps all together, newest
     /// first, then [`Storage::abort`] of each, left only to log its Abort
-    /// record and finish it. Interleaved losers must unwind in
-    /// reverse log order, not one whole transaction after another: space
-    /// one loser's shrink freed and a later loser's insert claimed is
-    /// handed back before the shrink is undone. A secondary cell (an
-    /// already-moved target, an overflow chunk) cannot relocate, so undone
-    /// out of that order its restore could fail for good.
+    /// record and finish it. Reverse log order walks each page back
+    /// through the states it had, but no step depends on it: no
+    /// transaction could take the bytes or slots a loser freed before the
+    /// crash, so each loser's steps, newest first, restore in place
+    /// whatever the others' do.
     fn roll_back_losers(&self, loser_undo: Vec<(TxnId, UndoOp)>) -> Result<()> {
         let losers: BTreeSet<TxnId> = loser_undo.iter().map(|&(txn, _)| txn).collect();
         for (txn, op) in loser_undo.into_iter().rev() {
             self.apply_undo(txn, op)?;
         }
         for txn in losers {
-            // A relocation above queued undo for its own steps; the
-            // rollback they belong to is already complete.
-            self.txns.take_undo(txn);
             self.abort(txn)?;
         }
         Ok(())
@@ -648,9 +644,9 @@ impl Storage {
     /// its transaction's fate — the log includes abort-time rollback steps
     /// (compensation-style), so a transaction with an Abort record is
     /// self-neutralizing and committed operations that physically depend
-    /// on an aborted neighbour's page layout (e.g. an update addressed to
-    /// a cell an abort relocated, or an insert into space an uncommitted
-    /// shrink freed) replay against exactly the layout they saw live.
+    /// on an aborted neighbour's page layout (e.g. an insert into bytes
+    /// the abort's undo freed, claimed once its Abort record was logged)
+    /// replay against exactly the layout they saw live.
     /// Transactions still in flight at the crash (neither Commit nor Abort
     /// in the log) are losers: the undo steps of all their records come
     /// back in log order, each with its transaction, for
@@ -1051,7 +1047,7 @@ impl Storage {
         if let Some(snap) = self.txns.active_snapshot(txn)? {
             let read_barrier = self.txns.read_barrier_of(txn);
             self.versions.release_snapshot(snap);
-            self.txns.finish(txn, TxnState::Committed)?;
+            self.finish(txn, TxnState::Committed)?;
             self.metrics.txn_commits.inc();
             self.metrics.emit(|| FlightEvent::TxnCommit { txn: txn.0 });
             return Ok(CommitTicket {
@@ -1084,11 +1080,12 @@ impl Storage {
             let removed = self.store.with_page_mut(oid.page(), |p| {
                 // A cell that reads back cannot fail to delete. Its bytes
                 // are copied out first: the record precedes the page's
-                // after-image in the log.
+                // after-image in the log. The bytes and slot it frees stay
+                // ours until the Commit record, so a crash can undo it.
                 let Some(before) = p.read(oid.slot()).map(<[u8]>::to_vec) else {
                     return false;
                 };
-                let ok = p.delete(oid.slot()).is_ok();
+                let ok = self.keep_freed(txn, oid.page(), p, |p| p.delete(oid.slot()).is_ok());
                 self.log_change(
                     p,
                     &LogRecord::CellDelete {
@@ -1147,7 +1144,7 @@ impl Storage {
                 }
             })?;
         }
-        self.txns.finish(txn, TxnState::Committed)?;
+        self.finish(txn, TxnState::Committed)?;
         self.locks.unlock_all(txn);
         self.metrics.txn_commits.inc();
         self.metrics.emit(|| FlightEvent::TxnCommit { txn: txn.0 });
@@ -1227,7 +1224,7 @@ impl Storage {
                 wal.append(&LogRecord::Abort { txn: txn.0 });
             }
         }
-        self.txns.finish(txn, TxnState::Aborted)?;
+        self.finish(txn, TxnState::Aborted)?;
         self.locks.unlock_all(txn);
         self.metrics.txn_aborts.inc();
         self.metrics.emit(|| FlightEvent::TxnAbort { txn: txn.0 });
@@ -1237,155 +1234,99 @@ impl Storage {
         }
     }
 
+    /// End `txn` after its Commit or Abort record and re-note the pages it
+    /// held bytes on (advisory: a page that fails to read waits its turn).
+    fn finish(&self, txn: TxnId, state: TxnState) -> Result<()> {
+        for page in self.txns.finish(txn, state)? {
+            let _ = self.note_space(page);
+        }
+        Ok(())
+    }
+
     /// Apply one rollback step — and *log* it. Abort-time page repairs are
     /// appended to the WAL as ordinary cell records (compensation-log
     /// style, under the page latch like every cell record), so recovery's
     /// repeat-history pass reproduces the rollback verbatim: a committed
-    /// neighbour whose operations physically depend on the repaired layout
-    /// (an update addressed to a relocated cell, an insert into freed
-    /// space) replays against exactly the state it saw live. The txn's
-    /// Begin record is guaranteed present — every undo op stems from a
-    /// logged forward op.
+    /// transaction that later claims bytes the rollback freed replays
+    /// against exactly the layout it saw live. The txn's Begin record is
+    /// guaranteed present — every undo op stems from a logged forward op.
+    ///
+    /// Every step restores in place: until a transaction ends, the bytes
+    /// and slots it frees on a page are its own ([`Storage::keep_freed`]),
+    /// and its undo runs newest first, so what it reused of them comes
+    /// back before an older step needs it. A step that does not fit is
+    /// reported as corruption.
     fn apply_undo(&self, txn: TxnId, op: UndoOp) -> Result<()> {
-        match op {
-            UndoOp::UndoInsert { page, slot } => {
-                self.store
-                    .with_page_mut(page, |p| {
-                        let before = p.read(slot).ok_or(PageOpError::BadSlot)?.to_vec();
+        let (UndoOp::UndoInsert { page, slot }
+        | UndoOp::UndoUpdate { page, slot, .. }
+        | UndoOp::UndoDelete { page, slot, .. }) = op;
+        let outcome = self.store.with_page_mut(page, |p| {
+            self.keep_freed(txn, page, p, |p| {
+                let prior = Cow::Owned(p.read(slot).map(<[u8]>::to_vec).unwrap_or_default());
+                let record = match &op {
+                    UndoOp::UndoInsert { .. } => {
                         p.delete(slot)?;
-                        self.log_change(
-                            p,
-                            &LogRecord::CellDelete {
-                                txn: txn.0,
-                                page,
-                                slot,
-                                before: Cow::Owned(before),
-                            },
-                        );
-                        Ok::<_, PageOpError>(())
-                    })?
-                    .map_err(|e| StorageError::Corrupt(format!("undo insert failed: {e:?}")))?;
-                self.note_space(page)?;
-            }
-            UndoOp::UndoUpdate { page, slot, before } => {
-                let outcome = self.store.with_page_mut(page, |p| {
-                    let prior = p.read(slot).map(<[u8]>::to_vec).unwrap_or_default();
-                    p.update(slot, &before).map(|()| {
-                        self.log_change(
-                            p,
-                            &LogRecord::CellUpdate {
-                                txn: txn.0,
-                                page,
-                                slot,
-                                data: Cow::Borrowed(&before),
-                                before: Cow::Owned(prior),
-                            },
-                        )
-                    })
-                })?;
-                match outcome {
-                    Ok(()) => {}
-                    Err(PageOpError::Full) => {
-                        self.undo_restore_moved(txn, Oid::new(page, slot), &before, true)?;
+                        LogRecord::CellDelete {
+                            txn: txn.0,
+                            page,
+                            slot,
+                            before: prior,
+                        }
                     }
-                    Err(e) => {
-                        return Err(StorageError::Corrupt(format!("undo update failed: {e:?}")));
+                    UndoOp::UndoUpdate { before, .. } => {
+                        p.update(slot, before)?;
+                        LogRecord::CellUpdate {
+                            txn: txn.0,
+                            page,
+                            slot,
+                            data: Cow::Borrowed(before),
+                            before: prior,
+                        }
                     }
-                }
-                self.note_space(page)?;
-            }
-            UndoOp::UndoDelete { page, slot, before } => {
-                let outcome = self.store.with_page_mut(page, |p| {
-                    p.insert_at(slot, &before).map(|()| {
-                        self.log_change(
-                            p,
-                            &LogRecord::CellInsert {
-                                txn: txn.0,
-                                page,
-                                slot,
-                                data: Cow::Borrowed(&before),
-                            },
-                        )
-                    })
-                })?;
-                match outcome {
-                    Ok(()) => {}
-                    Err(PageOpError::Full) => {
-                        self.undo_restore_moved(txn, Oid::new(page, slot), &before, false)?;
+                    UndoOp::UndoDelete { before, .. } => {
+                        p.insert_at(slot, before)?;
+                        LogRecord::CellInsert {
+                            txn: txn.0,
+                            page,
+                            slot,
+                            data: Cow::Borrowed(before),
+                        }
                     }
-                    Err(e) => {
-                        return Err(StorageError::Corrupt(format!("undo delete failed: {e:?}")));
-                    }
-                }
-                self.note_space(page)?;
-            }
-        }
-        Ok(())
+                };
+                self.log_change(p, &record);
+                Ok(())
+            })
+        })?;
+        outcome.map_err(|e: PageOpError| {
+            StorageError::Corrupt(format!(
+                "undo of {txn} at {} failed ({e:?}): freed bytes and slots stay with their \
+                 transaction until it ends, so only a log written before that rule, in which \
+                 another transaction took them, leads here",
+                Oid::new(page, slot)
+            ))
+        })?;
+        self.note_space(page)
     }
 
-    /// Undo fallback for when the before-image no longer fits at its
-    /// original location: pages are shared between transactions, so the
-    /// space an update or delete freed may have been claimed by a
-    /// concurrent insert before this transaction aborted (or, for a loser
-    /// rolled back at recovery, by a transaction that committed before
-    /// the crash). The image is
-    /// placed on another page of the same cluster and a forward stub left
-    /// at the original slot — the same relocation a growing update uses —
-    /// keeping the object's Oid and committed value intact.
-    ///
-    /// Only primary cells can relocate; secondary cells (overflow chunks,
-    /// already-moved targets) are anchored by pointers that cannot be
-    /// rewritten here, so those fail and surface through [`Storage::abort`]
-    /// as a corruption error after lock release.
-    fn undo_restore_moved(
+    /// Run `op` on page `page`, latched as `p`, and keep the rise in its
+    /// usable free space as `txn`'s until it ends: no one can claim it first.
+    fn keep_freed<R>(
         &self,
         txn: TxnId,
-        oid: Oid,
-        before: &[u8],
-        occupied: bool,
-    ) -> Result<()> {
-        let mut relocated = before.to_vec();
-        match before.first() {
-            Some(&TAG_DATA) => relocated[0] = TAG_MOVED_DATA,
-            Some(&TAG_OVF_HEAD) => relocated[0] = TAG_MOVED_OVF_HEAD,
-            tag => {
-                return Err(StorageError::Corrupt(format!(
-                    "undo restore at {oid} cannot relocate cell with tag {tag:?}"
-                )));
-            }
+        page: PageId,
+        p: &mut Page,
+        op: impl FnOnce(&mut Page) -> R,
+    ) -> R {
+        let before = p.usable_free();
+        let r = op(p);
+        let freed = p.usable_free().saturating_sub(before);
+        if freed > 0 {
+            self.txns.hold(txn, page, freed);
         }
-        let cluster = self.cluster_of(oid.page())?;
-        let target = self.raw_insert(txn, cluster, &relocated, false)?;
-        let mut stub = Vec::with_capacity(7);
-        stub.push(TAG_FORWARD);
-        stub.extend_from_slice(&encode_to_vec(&target));
-        if occupied {
-            if !self.raw_update(txn, oid, &stub)? {
-                return Err(StorageError::Corrupt(format!(
-                    "undo forward stub did not fit at {oid}"
-                )));
-            }
-        } else {
-            self.store
-                .with_page_mut(oid.page(), |p| {
-                    p.insert_at(oid.slot(), &stub).map(|()| {
-                        self.log_change(
-                            p,
-                            &LogRecord::CellInsert {
-                                txn: txn.0,
-                                page: oid.page(),
-                                slot: oid.slot(),
-                                data: Cow::Borrowed(&stub),
-                            },
-                        )
-                    })
-                })?
-                .map_err(|e| StorageError::Corrupt(format!("undo stub insert failed: {e:?}")))?;
-        }
-        Ok(())
+        r
     }
 
-    /// Refresh a page's entry in the with-space directory.
+    /// Refresh a page's entry in the with-space directory; held bytes are used.
     fn note_space(&self, page: PageId) -> Result<()> {
         let (cluster, free) = self
             .store
@@ -1393,6 +1334,7 @@ impl Storage {
         if cluster == UNASSIGNED_CLUSTER {
             return Ok(());
         }
+        let free = free.saturating_sub(self.txns.held_by_others(None, page));
         let mut alloc = self.alloc.lock();
         let set = alloc.with_space.entry(cluster).or_default();
         if free >= SPACE_THRESHOLD {
@@ -1430,12 +1372,15 @@ impl Storage {
                 // Newest pages first: they are most likely to fit. A page
                 // already too full for a cell this long is skipped
                 // unread, so a cluster of nearly full pages costs one
-                // probe each, not one per insert.
+                // probe each, not one per insert. So is a page on which
+                // another live transaction holds freed bytes.
                 for (&candidate, too_full_for) in set.iter_mut().rev() {
                     if len >= *too_full_for {
                         continue;
                     }
-                    if self.store.with_page(candidate, |p| p.can_insert(len))? {
+                    if self.txns.held_by_others(Some(txn), candidate) == 0
+                        && self.store.with_page(candidate, |p| p.can_insert(len))?
+                    {
                         return Ok(candidate);
                     }
                     *too_full_for = len;
@@ -1486,7 +1431,12 @@ impl Storage {
             let page = self.pick_page(txn, cluster, cell.len())?;
             self.wal_begin(txn)?;
             let outcome = self.store.with_page_mut(page, |p| {
-                let r = p.insert(cell);
+                // Another live transaction's held bytes and slots are not ours.
+                let r = if self.txns.held_by_others(Some(txn), page) > 0 {
+                    Err(PageOpError::Full)
+                } else {
+                    p.insert(cell)
+                };
                 if let Ok(slot) = r {
                     self.log_change(
                         p,
@@ -1513,7 +1463,7 @@ impl Storage {
                     return Ok(oid);
                 }
                 Err(PageOpError::Full) => {
-                    // Raced with a concurrent insert; demote and retry.
+                    // Raced with an insert or a holding; demote and retry.
                     self.note_space(page)?;
                     continue;
                 }
@@ -1524,7 +1474,8 @@ impl Storage {
         }
     }
 
-    /// Try to overwrite the cell at `oid`; Ok(false) when it does not fit.
+    /// Try to overwrite the cell at `oid`; Ok(false) when it does not fit,
+    /// counting bytes other live transactions hold as used.
     fn raw_update(&self, txn: TxnId, oid: Oid, cell: &[u8]) -> Result<bool> {
         if cell.len() > MAX_RECORD {
             return Err(StorageError::RecordTooLarge(cell.len()));
@@ -1535,7 +1486,19 @@ impl Storage {
             let Some(before) = before else {
                 return Err(StorageError::NoSuchObject(oid));
             };
-            match p.update(oid.slot(), cell) {
+            let need = footprint(cell.len()).saturating_sub(footprint(before.len()));
+            let grows_into_held = need > 0 && {
+                let held = self.txns.held_by_others(Some(txn), oid.page());
+                held > 0 && p.usable_free() < need + held
+            };
+            let updated = if grows_into_held {
+                Err(PageOpError::Full)
+            } else if cell.len() < before.len() {
+                self.keep_freed(txn, oid.page(), p, |p| p.update(oid.slot(), cell))
+            } else {
+                p.update(oid.slot(), cell)
+            };
+            match updated {
                 Ok(()) => {
                     self.log_change(
                         p,
@@ -2166,12 +2129,11 @@ mod tests {
 
     #[test]
     fn abort_restores_when_freed_space_was_claimed() {
-        // Pages are shared between transactions: the space one
-        // transaction's shrinking update frees can be claimed by another
-        // transaction's insert before the first one aborts. The undo of
-        // the shrink then no longer fits in place and must relocate the
-        // before-image behind a forward stub — and, regression: it must
-        // never bail out of abort with the locks still held.
+        // Pages are shared between transactions, but the space one
+        // transaction's shrinking update frees stays its own until it
+        // ends: a concurrent insert that could use it goes to another
+        // page, so the undo of the shrink grows back in place — and,
+        // regression: abort never bails out with the locks still held.
         let s = Storage::volatile();
         let t = s.begin().unwrap();
         let c = s.create_cluster(t).unwrap();
@@ -2186,10 +2148,10 @@ mod tests {
         // A concurrent transaction claims most of the freed space.
         let t2 = s.begin().unwrap();
         let b = s.allocate(t2, c, &vec![8u8; 2500]).unwrap();
+        assert_ne!(b.page(), a.page(), "t1's freed bytes are not t2's");
         s.commit(t2).unwrap();
 
-        // The in-place grow-back is now impossible; abort must still
-        // restore the committed value (relocated) and release all locks.
+        // Abort must restore the committed value and release all locks.
         s.abort(t1).unwrap();
 
         let t3 = s.begin().unwrap();
@@ -2359,12 +2321,13 @@ mod tests {
 
     #[test]
     fn crash_after_abort_relocation_then_committed_update_recovers() {
-        // Review regression (high): an abort that relocates a before-image
-        // physically rewrites pages under the *aborting* transaction's
-        // records. Recovery must repeat those repairs — a later committed
-        // update addresses the relocated page/slot, and skipping the
-        // abort's records would make that update unreplayable (page
-        // missing or slot empty ⇒ Corrupt ⇒ database unrecoverable).
+        // Review regression (high): an abort's undo physically rewrites
+        // pages under the *aborting* transaction's records. Recovery must
+        // repeat those repairs — a later committed update addresses the
+        // restored cell, and skipping the abort's records would make that
+        // update unreplayable (slot too small or stale ⇒ Corrupt ⇒
+        // database unrecoverable). The concurrent commit cannot take the
+        // bytes the shrink freed, so the undo restores in place.
         let dir = TempDir::new("store");
         let big = vec![7u8; 3000];
         let a;
@@ -2376,18 +2339,19 @@ mod tests {
             a = s.allocate(t, c, &big).unwrap();
             s.commit(t).unwrap();
 
-            // Shrink `a` (freeing ~3KB), let a concurrent commit claim the
-            // space, then abort: the undo relocates the before-image to
-            // another page behind a forward stub.
+            // Shrink `a` (freeing ~3KB), let a concurrent transaction
+            // insert and commit — on another page, since t1 holds the
+            // freed bytes — then abort: the undo grows `a` back in place.
             let t1 = s.begin().unwrap();
             s.update(t1, a, b"tiny").unwrap();
             let t2 = s.begin().unwrap();
             b = s.allocate(t2, c, &vec![8u8; 2500]).unwrap();
+            assert_ne!(b.page(), a.page(), "t1's freed bytes are not t2's");
             s.commit(t2).unwrap();
             s.abort(t1).unwrap();
 
-            // A later committed transaction updates the moved object: its
-            // CellUpdate addresses the relocated location.
+            // A later committed transaction updates the restored object:
+            // its CellUpdate addresses the cell the abort rewrote.
             let t3 = s.begin().unwrap();
             assert_eq!(s.read(t3, a).unwrap(), big);
             s.update(t3, a, b"updated after relocation").unwrap();
@@ -2404,10 +2368,10 @@ mod tests {
     #[test]
     fn committed_insert_into_space_freed_by_uncommitted_shrink_recovers() {
         // Review regression (same root cause, pre-existing): a committed
-        // insert that claimed space freed by an *in-flight* transaction's
-        // shrink must replay — repeat history applies the shrink first,
-        // then rolls the loser back (relocating its before-image when the
-        // committed insert is in the way).
+        // insert made while an *in-flight* transaction's shrink had freed
+        // space must replay — repeat history applies the shrink first,
+        // then rolls the loser back. The insert went to another page (the
+        // loser held the freed bytes), so the rollback restores in place.
         let dir = TempDir::new("store");
         let big = vec![5u8; 3000];
         let a;
@@ -2423,6 +2387,7 @@ mod tests {
             s.update(t1, a, b"tiny").unwrap();
             let t2 = s.begin().unwrap();
             b = s.allocate(t2, c, &vec![6u8; 2500]).unwrap();
+            assert_ne!(b.page(), a.page(), "t1's freed bytes are not t2's");
             s.commit(t2).unwrap();
             // Crash with t1 still in flight.
             std::mem::forget(s);
@@ -2441,11 +2406,11 @@ mod tests {
 
     #[test]
     fn interleaved_losers_unwind_in_reverse_log_order() {
-        // Two losers share a page: the first shrinks an already-moved
-        // record in place, the second inserts into the bytes that freed.
-        // A moved target cannot relocate, so rolling the first loser back
-        // before the second would find no room and fail every open;
-        // undone newest first, the insert hands the space back in time.
+        // Two losers in flight at once: the first shrinks an already-moved
+        // record in place, the second inserts a record the freed bytes
+        // could hold. Those bytes stay the first loser's until it ends, so
+        // the insert lands on another page, and recovery restores the
+        // moved record in place whatever order the losers unwind in.
         for options in [StorageOptions::default(), StorageOptions::memory()] {
             let dir = TempDir::new("store");
             let big = vec![3u8; 3000];
@@ -2464,7 +2429,11 @@ mod tests {
                 s.update(t1, a, b"tiny").unwrap();
                 let t2 = s.begin().unwrap();
                 b = s.allocate(t2, c, &vec![4u8; 2500]).unwrap();
-                assert_eq!(b.page(), target.page(), "the insert took the freed bytes");
+                assert_ne!(
+                    b.page(),
+                    target.page(),
+                    "the insert left t1's freed bytes alone"
+                );
                 s.wal.as_ref().unwrap().flush().unwrap();
                 std::mem::forget(s); // crash with t1 and t2 in flight
             }
@@ -2475,6 +2444,179 @@ mod tests {
             s.update(t, a, b"writable").unwrap();
             assert_eq!(s.read(t, a).unwrap(), b"writable");
             s.commit(t).unwrap();
+        }
+    }
+
+    /// A committed 1,500-byte record `a` that grew out of its page, and a
+    /// transaction (returned, still open) that has shrunk it to 20 bytes
+    /// on the page it moved to. Returns the cluster, `a`, the moved
+    /// target and the open transaction.
+    fn shrunk_moved_record(s: &Storage) -> (ClusterId, Oid, Oid, TxnId) {
+        let t = s.begin().unwrap();
+        let c = s.create_cluster(t).unwrap();
+        let a = s.allocate(t, c, &[1u8; 20]).unwrap();
+        s.allocate(t, c, &[2u8; 3500]).unwrap();
+        s.commit(t).unwrap();
+        let t = s.begin().unwrap();
+        s.update(t, a, &[3u8; 1500]).unwrap();
+        s.commit(t).unwrap();
+        let (target, _) = s.resolve(a).unwrap();
+        assert_ne!(target.page(), a.page(), "the grown record moved");
+        let shrinker = s.begin().unwrap();
+        s.update(shrinker, a, &[4u8; 20]).unwrap();
+        (c, a, target, shrinker)
+    }
+
+    /// A second transaction inserts twelve 1,300-byte records and commits.
+    fn twelve_inserts(s: &Storage, c: ClusterId) -> Vec<Oid> {
+        let t = s.begin().unwrap();
+        let oids = (0..12)
+            .map(|_| s.allocate(t, c, &[5u8; 1300]).unwrap())
+            .collect();
+        s.commit(t).unwrap();
+        oids
+    }
+
+    #[test]
+    fn aborting_a_shrink_of_a_moved_record_restores_it_in_place() {
+        for options in [StorageOptions::default(), StorageOptions::memory()] {
+            let dir = TempDir::new("store");
+            let s = Storage::create(dir.path(), options).unwrap();
+            let (c, a, target, shrinker) = shrunk_moved_record(&s);
+            let b = twelve_inserts(&s, c);
+            s.abort(shrinker).unwrap();
+            let t = s.begin().unwrap();
+            assert_eq!(s.read(t, a).unwrap(), vec![3u8; 1500]);
+            assert_eq!(s.resolve(a).unwrap().0, target, "restored where it was");
+            for oid in b {
+                assert_eq!(s.read(t, oid).unwrap(), vec![5u8; 1300]);
+            }
+            s.commit(t).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_crash_with_a_shrink_of_a_moved_record_in_flight_recovers() {
+        for options in [StorageOptions::default(), StorageOptions::memory()] {
+            let dir = TempDir::new("store");
+            let (a, b);
+            {
+                let s = Storage::create(dir.path(), options.clone()).unwrap();
+                let (c, oid, _, _) = shrunk_moved_record(&s);
+                a = oid;
+                b = twelve_inserts(&s, c);
+                std::mem::forget(s); // crash with the shrink in flight
+            }
+            let s = Storage::open(dir.path(), options).unwrap();
+            let t = s.begin().unwrap();
+            assert_eq!(s.read(t, a).unwrap(), vec![3u8; 1500]);
+            for oid in b {
+                assert_eq!(s.read(t, oid).unwrap(), vec![5u8; 1300]);
+            }
+            s.update(t, a, b"writable").unwrap();
+            s.commit(t).unwrap();
+        }
+    }
+
+    #[test]
+    fn inserts_leave_the_bytes_a_live_transaction_freed_until_it_ends() {
+        for options in [StorageOptions::default(), StorageOptions::memory()] {
+            let dir = TempDir::new("store");
+            let s = Storage::create(dir.path(), options).unwrap();
+            let (c, _, target, shrinker) = shrunk_moved_record(&s);
+            for oid in twelve_inserts(&s, c) {
+                assert_ne!(oid.page(), target.page(), "{oid} took held bytes");
+            }
+            // Once the shrink commits its bytes are anyone's: the page
+            // is offered again, and it is the only one with room.
+            s.commit(shrinker).unwrap();
+            let t = s.begin().unwrap();
+            assert_eq!(
+                s.allocate(t, c, &[6u8; 1300]).unwrap().page(),
+                target.page()
+            );
+            s.commit(t).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_transaction_regrows_what_it_shrank_in_place() {
+        for options in [StorageOptions::default(), StorageOptions::memory()] {
+            let dir = TempDir::new("store");
+            let s = Storage::create(dir.path(), options).unwrap();
+            let t = s.begin().unwrap();
+            let c = s.create_cluster(t).unwrap();
+            let a = s.allocate(t, c, &[1u8; 1500]).unwrap();
+            s.allocate(t, c, &[2u8; 2500]).unwrap();
+            s.commit(t).unwrap();
+            let t1 = s.begin().unwrap();
+            s.update(t1, a, b"tiny").unwrap();
+            // Another transaction's insert would fit in the freed bytes…
+            let t2 = s.begin().unwrap();
+            let b = s.allocate(t2, c, &[3u8; 1300]).unwrap();
+            s.commit(t2).unwrap();
+            assert_ne!(b.page(), a.page());
+            // …but they are t1's to grow back into.
+            s.update(t1, a, &[4u8; 1500]).unwrap();
+            assert_eq!(s.resolve(a).unwrap().0, a, "the record did not move");
+            s.commit(t1).unwrap();
+            let t = s.begin().unwrap();
+            assert_eq!(s.read(t, a).unwrap(), vec![4u8; 1500]);
+            s.commit(t).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_log_in_which_a_winner_took_a_losers_freed_bytes_is_refused_by_name() {
+        // A log the engine wrote before freed bytes stayed with their
+        // transaction: loser 100 shrank `a`, and winner 101 inserted into
+        // the bytes that freed and committed. Undoing the shrink needs
+        // bytes the winner's record holds; `open` must say so, not
+        // relocate the record or panic.
+        for options in [StorageOptions::default(), StorageOptions::memory()] {
+            let dir = TempDir::new("store");
+            let a = {
+                let s = Storage::create(dir.path(), options.clone()).unwrap();
+                let t = s.begin().unwrap();
+                let c = s.create_cluster(t).unwrap();
+                let a = s.allocate(t, c, &[7u8; 3000]).unwrap();
+                s.commit(t).unwrap();
+                s.close().unwrap();
+                a
+            };
+            let big = [&[TAG_DATA][..], &[7u8; 3000]].concat();
+            let wal = Wal::open_with(&dir.path().join("wal.log"), false, None).unwrap();
+            for record in [
+                LogRecord::Begin { txn: 100 },
+                LogRecord::CellUpdate {
+                    txn: 100,
+                    page: a.page(),
+                    slot: a.slot(),
+                    data: Cow::Owned(vec![TAG_DATA, 1]),
+                    before: Cow::Borrowed(&big),
+                },
+                LogRecord::Begin { txn: 101 },
+                LogRecord::CellInsert {
+                    txn: 101,
+                    page: a.page(),
+                    slot: a.slot() + 1,
+                    data: Cow::Owned(vec![TAG_DATA; 2500]),
+                },
+                LogRecord::Commit { txn: 101 },
+            ] {
+                wal.append(&record);
+            }
+            wal.flush().unwrap();
+            drop(wal);
+            let err = Storage::open(dir.path(), options)
+                .err()
+                .expect("open must refuse the log");
+            assert!(
+                matches!(&err, StorageError::Corrupt(m)
+                    if m.contains("failed (Full)")
+                        && m.contains("freed bytes and slots stay with their transaction")),
+                "{err:?}"
+            );
         }
     }
 

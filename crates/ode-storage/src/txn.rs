@@ -14,9 +14,9 @@
 //! *written* to the log as an ordinary cell record (compensation-log
 //! style), so crash recovery can repeat history through aborts — a
 //! committed transaction's operations may physically depend on page
-//! layout an abort produced (e.g. a relocated cell). Recovery rolls back
-//! a transaction in flight at a crash the same way, after
-//! `TxnManager::adopt` re-enters it under its logged id.
+//! layout an abort produced (e.g. a page an abort's undo compacted).
+//! Recovery rolls back a transaction in flight at a crash the same way,
+//! after `TxnManager::adopt` re-enters it under its logged id.
 //!
 //! The transaction table is one mutex-guarded map with one condvar:
 //! [`TxnManager::finish`] notifies it, and [`TxnManager::await_dependencies`]
@@ -32,7 +32,7 @@ use crate::error::{Result, StorageError};
 use crate::hash::{IntMap, IntSet};
 use crate::oid::{Oid, PageId};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Transaction identifier.
@@ -84,6 +84,9 @@ struct TxnRecord {
     /// at commit (their slots and bytes stay reserved until then so the
     /// deletes remain undoable and no concurrent insert can take the Oid).
     pending_deletes: Vec<Oid>,
+    /// Bytes this transaction freed on each page, counted as used by
+    /// every other transaction until it ends: its undo may need them back.
+    held: IntMap<PageId, usize>,
     /// Transactions this one may only commit after (commit dependencies).
     depends_on: Vec<TxnId>,
     /// Whether a WAL Begin record has been written for this transaction.
@@ -118,6 +121,7 @@ impl TxnRecord {
             system,
             undo: Vec::new(),
             pending_deletes: Vec::new(),
+            held: IntMap::default(),
             depends_on: Vec::new(),
             logged: false,
             first_lsn: None,
@@ -151,6 +155,9 @@ pub struct TxnManager {
     table: Mutex<Table>,
     /// Notified by [`TxnManager::finish`]; dependency waiters sleep here.
     finished: Condvar,
+    /// Live `(transaction, page)` holdings, counted by page id modulo the
+    /// length: at zero, no page of that residue has held bytes.
+    holdings: [AtomicUsize; 256],
     dep_timeout: Duration,
 }
 
@@ -167,6 +174,7 @@ impl TxnManager {
             next: AtomicU64::new(1),
             table: Mutex::new(Table::default()),
             finished: Condvar::new(),
+            holdings: [const { AtomicUsize::new(0) }; 256],
             dep_timeout,
         }
     }
@@ -253,6 +261,38 @@ impl TxnManager {
             .get_mut(&txn)
             .map(|r| std::mem::take(&mut r.pending_deletes))
             .unwrap_or_default()
+    }
+
+    /// Keep `bytes` that `txn` just freed on `page` as its own until it ends
+    /// (called under the page latch, so no one claims them in between).
+    pub(crate) fn hold(&self, txn: TxnId, page: PageId, bytes: usize) {
+        if let Some(rec) = self.table.lock().live.get_mut(&txn) {
+            let held = rec.held.entry(page).or_insert_with(|| {
+                self.holdings_of(page).fetch_add(1, Ordering::Relaxed);
+                0
+            });
+            *held += bytes;
+        }
+    }
+
+    /// Bytes live transactions other than `txn` (all, for `None`) hold on
+    /// `page`. With no holding on the page, one relaxed load: a holding is
+    /// made under a page latch the caller has since taken, which orders it.
+    pub(crate) fn held_by_others(&self, txn: Option<TxnId>, page: PageId) -> usize {
+        if self.holdings_of(page).load(Ordering::Relaxed) == 0 {
+            return 0;
+        }
+        self.table
+            .lock()
+            .live
+            .iter()
+            .filter(|&(&id, _)| Some(id) != txn)
+            .filter_map(|(_, r)| r.held.get(&page))
+            .sum()
+    }
+
+    fn holdings_of(&self, page: PageId) -> &AtomicUsize {
+        &self.holdings[page as usize % self.holdings.len()]
     }
 
     /// Mark that `txn` has written its WAL Begin record. Returns `true` the
@@ -374,20 +414,25 @@ impl TxnManager {
 
     /// Transition to a final state and wake dependency waiters. The
     /// record is dropped with its undo list (commit) — callers take it
-    /// before aborting; an abort leaves only the id behind.
-    pub fn finish(&self, txn: TxnId, state: TxnState) -> Result<()> {
+    /// before aborting; an abort leaves only the id behind. Returns the pages
+    /// its held bytes were on: callers append the Commit or Abort record
+    /// first, so any claim on them logs after it.
+    pub fn finish(&self, txn: TxnId, state: TxnState) -> Result<Vec<PageId>> {
         debug_assert_ne!(state, TxnState::Active);
-        {
-            let mut txns = self.table.lock();
-            txns.live
-                .remove(&txn)
-                .ok_or(StorageError::TxnNotActive(txn))?;
-            if state == TxnState::Aborted {
-                txns.aborted.insert(txn);
-            }
+        let mut txns = self.table.lock();
+        let rec = txns
+            .live
+            .remove(&txn)
+            .ok_or(StorageError::TxnNotActive(txn))?;
+        if state == TxnState::Aborted {
+            txns.aborted.insert(txn);
         }
+        drop(txns);
         self.finished.notify_all();
-        Ok(())
+        for &page in rec.held.keys() {
+            self.holdings_of(page).fetch_sub(1, Ordering::Relaxed);
+        }
+        Ok(rec.held.into_keys().collect())
     }
 
     /// (txn id, first LSN) of every active transaction that has logged WAL
@@ -649,5 +694,26 @@ mod tests {
         assert_eq!(tm.state(aborted[0]), Some(TxnState::Aborted));
         assert_eq!(tm.state(TxnId(live[2].0 + 2)), Some(TxnState::Committed));
         assert_eq!(tm.state(TxnId(u64::MAX)), None, "never issued");
+    }
+
+    #[test]
+    fn held_bytes_count_for_others_until_the_holder_finishes() {
+        let tm = TxnManager::default();
+        let (a, b) = (tm.begin(false), tm.begin(false));
+        assert_eq!(tm.held_by_others(None, 7), 0);
+        tm.hold(a, 7, 100);
+        tm.hold(a, 7, 20);
+        tm.hold(a, 9, 5);
+        tm.hold(b, 7, 1);
+        assert_eq!(tm.held_by_others(Some(a), 7), 1, "a may reuse its own");
+        assert_eq!(tm.held_by_others(Some(b), 7), 120);
+        assert_eq!(tm.held_by_others(None, 7), 121);
+        let mut pages = tm.finish(a, TxnState::Aborted).unwrap();
+        pages.sort_unstable();
+        assert_eq!(pages, vec![7, 9]);
+        assert_eq!(tm.held_by_others(None, 7), 1);
+        assert_eq!(tm.held_by_others(None, 9), 0);
+        assert_eq!(tm.finish(b, TxnState::Committed).unwrap(), vec![7]);
+        assert!(tm.holdings.iter().all(|h| h.load(Ordering::Relaxed) == 0));
     }
 }

@@ -214,6 +214,179 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Interleaved transactions vs the committed model
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum StepOp {
+    Allocate(usize),
+    Update(u8, usize),
+    Free(u8),
+}
+
+/// One interleaved history on one cluster.
+#[derive(Debug, Clone)]
+struct Interleaving {
+    /// Lengths of the committed objects the history starts from, and the
+    /// lengths a second committed transaction resizes them to (so some
+    /// have moved off their page before the history begins).
+    base: Vec<(usize, usize)>,
+    /// How many transactions are open at once (2 or 3).
+    txns: usize,
+    /// Each step: which open transaction acts, and what it does.
+    steps: Vec<(u8, StepOp)>,
+    /// Per transaction: a key ordering the ends, and commit (or abort).
+    ends: Vec<(u8, bool)>,
+}
+
+/// Small cells, cells a page holds two or three of, and overflow chains.
+fn cell_len() -> impl Strategy<Value = usize> {
+    prop_oneof![4 => 1usize..40, 5 => 900usize..1700, 1 => 3000usize..6000]
+}
+
+fn interleavings() -> impl Strategy<Value = Interleaving> {
+    let op = prop_oneof![
+        2 => cell_len().prop_map(StepOp::Allocate),
+        3 => (any::<u8>(), cell_len()).prop_map(|(i, n)| StepOp::Update(i, n)),
+        1 => any::<u8>().prop_map(StepOp::Free),
+    ];
+    (
+        prop::collection::vec((cell_len(), cell_len()), 3..10),
+        2usize..4,
+        prop::collection::vec((any::<u8>(), op), 6..32),
+        prop::collection::vec((any::<u8>(), any::<bool>()), 3..4),
+    )
+        .prop_map(|(base, txns, steps, ends)| Interleaving {
+            base,
+            txns,
+            steps,
+            ends,
+        })
+}
+
+/// Run `plan` with its transactions open at once. Each transaction
+/// touches only objects it owns (base object `i` belongs to transaction
+/// `i % txns`, and each owns what it allocates), so no step waits on a
+/// lock, but they all share the cluster's pages. With `crash`, the last
+/// transaction to end is left in flight. Returns the committed model.
+fn run_interleaved(
+    storage: &Storage,
+    plan: &Interleaving,
+    crash: bool,
+) -> Result<HashMap<Oid, Vec<u8>>, TestCaseError> {
+    let fill = |n: usize, byte: usize| vec![byte as u8; n];
+    let t = storage.begin().unwrap();
+    let cluster = storage.create_cluster(t).unwrap();
+    let mut base = Vec::new();
+    for (i, &(len, _)) in plan.base.iter().enumerate() {
+        base.push(storage.allocate(t, cluster, &fill(len, i)).unwrap());
+    }
+    storage.commit(t).unwrap();
+    let t = storage.begin().unwrap();
+    let mut committed = HashMap::new();
+    for (i, (&oid, &(_, len))) in base.iter().zip(&plan.base).enumerate() {
+        storage.update(t, oid, &fill(len, 100 + i)).unwrap();
+        committed.insert(oid, fill(len, 100 + i));
+    }
+    storage.commit(t).unwrap();
+
+    let txns: Vec<_> = (0..plan.txns).map(|_| storage.begin().unwrap()).collect();
+    // Each transaction's view of the objects it owns.
+    let mut views: Vec<BTreeMap<Oid, Vec<u8>>> = vec![BTreeMap::new(); plan.txns];
+    for (i, &oid) in base.iter().enumerate() {
+        views[i % plan.txns].insert(oid, committed[&oid].clone());
+    }
+    let mut owned: Vec<Vec<Oid>> = views.iter().map(|v| v.keys().copied().collect()).collect();
+    for (step, (who, op)) in plan.steps.iter().enumerate() {
+        let k = *who as usize % plan.txns;
+        let (txn, view) = (txns[k], &mut views[k]);
+        let pick = |i: u8| view.keys().nth(i as usize % view.len().max(1)).copied();
+        match *op {
+            StepOp::Allocate(len) => {
+                let oid = storage.allocate(txn, cluster, &fill(len, step)).unwrap();
+                view.insert(oid, fill(len, step));
+                owned[k].push(oid);
+            }
+            StepOp::Update(i, len) => {
+                if let Some(oid) = pick(i) {
+                    storage.update(txn, oid, &fill(len, step)).unwrap();
+                    view.insert(oid, fill(len, step));
+                }
+            }
+            StepOp::Free(i) => {
+                if let Some(oid) = pick(i) {
+                    storage.free(txn, oid).unwrap();
+                    view.remove(&oid);
+                }
+            }
+        }
+    }
+    let mut order: Vec<usize> = (0..plan.txns).collect();
+    order.sort_by_key(|&k| (plan.ends[k].0, k));
+    if crash {
+        order.pop();
+    }
+    for k in order {
+        if plan.ends[k].1 {
+            storage.commit(txns[k]).unwrap();
+            for oid in &owned[k] {
+                match views[k].get(oid) {
+                    Some(data) => committed.insert(*oid, data.clone()),
+                    None => committed.remove(oid),
+                };
+            }
+        } else {
+            let aborted = storage.abort(txns[k]);
+            prop_assert!(
+                aborted.is_ok(),
+                "abort of transaction {k} failed: {aborted:?}"
+            );
+        }
+    }
+    Ok(committed)
+}
+
+fn check_model(storage: &Storage, model: &HashMap<Oid, Vec<u8>>) -> Result<(), TestCaseError> {
+    let txn = storage.begin().unwrap();
+    for (oid, data) in model {
+        let read = storage.read(txn, *oid);
+        prop_assert!(
+            read.as_ref().is_ok_and(|r| r == data),
+            "object {oid}: read {:?} bytes, model has {}",
+            read.map(|r| r.len()),
+            data.len()
+        );
+    }
+    storage.commit(txn).unwrap();
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn interleaved_transactions_abort_and_commit_to_the_model(plan in interleavings()) {
+        let storage = Storage::volatile();
+        let model = run_interleaved(&storage, &plan, false)?;
+        check_model(&storage, &model)?;
+    }
+
+    #[test]
+    fn interleaved_transactions_recover_from_a_crash_with_one_in_flight(plan in interleavings()) {
+        let dir = TempDir::new("prop-interleaved");
+        let model;
+        {
+            let storage = Storage::create(dir.path(), StorageOptions::default()).unwrap();
+            model = run_interleaved(&storage, &plan, true)?;
+            std::mem::forget(storage); // crash
+        }
+        let storage = Storage::open(dir.path(), StorageOptions::default());
+        prop_assert!(storage.is_ok(), "open failed: {:?}", storage.err());
+        check_model(&storage.unwrap(), &model)?;
+    }
+}
+
+// ---------------------------------------------------------------------
 // MVCC snapshot isolation vs the committed-prefix history
 // ---------------------------------------------------------------------
 
