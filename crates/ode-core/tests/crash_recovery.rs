@@ -200,10 +200,10 @@ fn setup(
 
 /// One workload transaction, chosen by the (deterministic) step PRNG.
 /// Arms `MoreCred` with big buys, fires `AutoRaiseLimit` with pay-bills,
-/// toggles `DenyCredit` on and off (so crash points land inside header
-/// trigger-ref updates), and sprinkles in `tabort`ed transactions so
-/// Abort records land in the log between the commits recovery must
-/// replay.
+/// toggles `DenyCredit` on and off or re-arms it in one transaction (so
+/// crash points land inside header trigger-ref updates), and sprinkles
+/// in `tabort`ed transactions so Abort records land in the log between
+/// the commits recovery must replay.
 fn apply_step(
     db: &Database,
     rng: &mut Lcg,
@@ -222,16 +222,28 @@ fn apply_step(
         }),
         // Every trigger on a card other than its `AutoRaiseLimit` is a
         // `DenyCredit`: deactivate it if armed, activate it otherwise.
-        5 => db.with_txn(|txn| {
-            let deny = db
-                .active_triggers(txn, card.oid())?
-                .into_iter()
-                .find(|id| *id != trigs[i]);
-            match deny {
-                Some(id) => db.deactivate(txn, id).map(|_| ()),
-                None => db.activate(txn, card, "DenyCredit", &()).map(|_| ()),
-            }
-        }),
+        // Every other time an armed one is re-armed in the same
+        // transaction: its new state record must not reuse the Oid the
+        // deactivation freed before that delete commits.
+        5 => {
+            let rearm = rng.below(2) == 0;
+            db.with_txn(|txn| {
+                let deny = db
+                    .active_triggers(txn, card.oid())?
+                    .into_iter()
+                    .find(|id| *id != trigs[i]);
+                match deny {
+                    Some(id) if rearm => {
+                        db.deactivate(txn, id)?;
+                        let rearmed = db.activate(txn, card, "DenyCredit", &())?;
+                        assert_ne!(rearmed.oid(), id.oid(), "a live delete's Oid was reissued");
+                        Ok(())
+                    }
+                    Some(id) => db.deactivate(txn, id).map(|_| ()),
+                    None => db.activate(txn, card, "DenyCredit", &()).map(|_| ()),
+                }
+            })
+        }
         // A quiesced checkpoint mid-script: it vacuums the MVCC version
         // store and rewrites the page image, so crash points can land
         // mid-GC / mid-checkpoint, not just between commits. (While a

@@ -73,17 +73,6 @@ const TAG_OVF_HEAD: u8 = 2;
 const TAG_MOVED_DATA: u8 = 3;
 const TAG_OVF_CHUNK: u8 = 4;
 const TAG_MOVED_OVF_HEAD: u8 = 5;
-/// A cell deleted by a still-active transaction. The slot and bytes stay
-/// reserved (invisible to reads, allocation, and scans) until the deleting
-/// transaction commits and physically removes the cell — or aborts and
-/// restores the original tag. Releasing them earlier would let a concurrent
-/// insert claim the slot, making the delete impossible to undo and handing
-/// the object's Oid to an unrelated record. Tombstones appear in the WAL
-/// (the tombstoning is logged like any cell update, and replay repeats it
-/// transiently) but never in checkpoints: the committing transaction
-/// physically purges its tombstones before it leaves the active set, and
-/// checkpoints require quiescence.
-const TAG_TOMBSTONE: u8 = 6;
 
 /// Max payload bytes in one inline cell (tag byte subtracted).
 const MAX_INLINE: usize = MAX_RECORD - 1;
@@ -853,9 +842,7 @@ impl Storage {
         // Quiescence means no snapshot can be registered and no writer is
         // pinning a chain, so this sweep empties the version store: the
         // checkpoint image (pages only) must not be shadowed by superseded
-        // versions that would otherwise survive it in memory — the same
-        // "no stale state rides through a checkpoint" rule the tombstone
-        // purge enforces for deleted cells.
+        // versions that would otherwise survive it in memory.
         self.versions.vacuum();
         debug_assert_eq!(
             self.versions.stats().entries,
@@ -1040,7 +1027,7 @@ impl Storage {
     /// dependent system transactions append their Commit records into the
     /// same flush batch as their parent.
     pub fn commit_deferred(&self, txn: TxnId) -> Result<CommitTicket> {
-        // Snapshot transactions wrote nothing: no log, no locks, no purge.
+        // Snapshot transactions wrote nothing: no log and no locks.
         // Their ticket carries the *begin-time* read barrier (every commit
         // visible at the snapshot sits at or below that log tail), and
         // releasing the snapshot unpins the GC horizon.
@@ -1061,55 +1048,11 @@ impl Storage {
             self.abort(txn)?;
             return Err(e);
         }
-        // Physically remove every cell this transaction tombstoned, each
-        // logged and applied under ONE page latch (log order = mutation
-        // order, and the page LSN is stamped with the record's exact end
-        // so a stolen page never replays the delete twice). Ahead of the
-        // Commit record, so recovery repeats the purge exactly when it
-        // replays the commit; running it here is irrevocable-safe because
-        // dependencies are resolved and nothing past this point can abort
-        // the transaction. The slots stayed reserved (tombstoned) until
-        // now, so reading them inside the latch is race-free, and the
-        // locks are still held, so no reader can observe the purge early.
-        let pending = self.txns.take_pending_deletes(txn);
-        debug_assert!(
-            pending.is_empty() || self.wal.is_none() || self.txns.has_logged(txn),
-            "a delete implies a logged txn"
-        );
-        for oid in &pending {
-            let removed = self.store.with_page_mut(oid.page(), |p| {
-                // A cell that reads back cannot fail to delete. Its bytes
-                // are copied out first: the record precedes the page's
-                // after-image in the log. The bytes and slot it frees stay
-                // ours until the Commit record, so a crash can undo it.
-                let Some(before) = p.read(oid.slot()).map(<[u8]>::to_vec) else {
-                    return false;
-                };
-                let ok = self.keep_freed(txn, oid.page(), p, |p| p.delete(oid.slot()).is_ok());
-                self.log_change(
-                    p,
-                    &LogRecord::CellDelete {
-                        txn: txn.0,
-                        page: oid.page(),
-                        slot: oid.slot(),
-                        before: Cow::Owned(before),
-                    },
-                );
-                ok
-            });
-            debug_assert!(
-                matches!(removed, Ok(true)),
-                "commit-time delete of a tombstoned cell cannot fail"
-            );
-            let _ = self.note_space(oid.page());
-        }
         // Read-only transactions never logged anything: skip the Commit
         // record and the flush entirely.
         let lsn = match &self.wal {
             Some(wal) if self.txns.has_logged(txn) => {
-                let lsn = wal.append(&LogRecord::Commit { txn: txn.0 });
-                self.txns.set_commit_lsn(txn, lsn);
-                Some(lsn)
+                Some(wal.append(&LogRecord::Commit { txn: txn.0 }))
             }
             _ => None,
         };
@@ -1129,9 +1072,9 @@ impl Storage {
         };
         // Install the committed values of this transaction's write set as
         // one atomic version-store sequence step. Past the commit point
-        // (Commit record appended): a purged slot resolves as
+        // (Commit record appended): a deleted cell resolves as
         // NoSuchObject, which installs the delete marker snapshot readers
-        // need.
+        // need. The slot is still held, so no insert has reused it.
         let dirty = self.txns.take_dirty(txn);
         if !dirty.is_empty() {
             self.versions.install(&dirty, |o| {
@@ -1156,7 +1099,7 @@ impl Storage {
     }
 
     /// Second half of commit: block until the ticket's Commit record is
-    /// durable (`flushed_lsn >= commit_lsn`). Read-only tickets return
+    /// durable (the log flushed through it). Read-only tickets return
     /// immediately unless they observed not-yet-durable writers, in which
     /// case they wait for those writers' Commit records first (a read is
     /// only acknowledged once everything it saw is durable). Runs the
@@ -1373,12 +1316,13 @@ impl Storage {
                 // already too full for a cell this long is skipped
                 // unread, so a cluster of nearly full pages costs one
                 // probe each, not one per insert. So is a page on which
-                // another live transaction holds freed bytes.
+                // any live transaction, this one included, holds freed
+                // bytes: a slot a live delete freed is not issued again.
                 for (&candidate, too_full_for) in set.iter_mut().rev() {
                     if len >= *too_full_for {
                         continue;
                     }
-                    if self.txns.held_by_others(Some(txn), candidate) == 0
+                    if self.txns.held_by_others(None, candidate) == 0
                         && self.store.with_page(candidate, |p| p.can_insert(len))?
                     {
                         return Ok(candidate);
@@ -1431,8 +1375,8 @@ impl Storage {
             let page = self.pick_page(txn, cluster, cell.len())?;
             self.wal_begin(txn)?;
             let outcome = self.store.with_page_mut(page, |p| {
-                // Another live transaction's held bytes and slots are not ours.
-                let r = if self.txns.held_by_others(Some(txn), page) > 0 {
+                // Held bytes and slots are no insert's, not even the holder's.
+                let r = if self.txns.held_by_others(None, page) > 0 {
                     Err(PageOpError::Full)
                 } else {
                     p.insert(cell)
@@ -1533,34 +1477,27 @@ impl Storage {
         }
     }
 
-    /// Delete a cell — in two phases. The cell is tombstoned in place here
-    /// (same slot, same length, so the undo is an in-place tag restore that
-    /// cannot fail) and physically removed only when the transaction
-    /// commits. The WAL mirrors both phases so recovery repeats history
-    /// exactly: the tombstoning is logged as a CellUpdate here, and
-    /// `commit_deferred` logs the physical CellDelete just ahead of the
-    /// Commit record.
+    /// Delete a cell, logged as one `CellDelete` carrying its bytes. The
+    /// slot and bytes it frees stay this transaction's until it ends
+    /// ([`Storage::keep_freed`]), and no insert lands on a page holding
+    /// freed bytes, so the undo re-inserts in place and the Oid is not
+    /// issued again before the delete commits.
     fn raw_delete(&self, txn: TxnId, oid: Oid) -> Result<()> {
         self.wal_begin(txn)?;
         let before = self.store.with_page_mut(oid.page(), |p| {
-            let before = p.read(oid.slot()).map(<[u8]>::to_vec);
-            let Some(before) = before else {
+            // The bytes are copied out first: the record precedes the
+            // page's after-image in the log.
+            let Some(before) = p.read(oid.slot()).map(<[u8]>::to_vec) else {
                 return Err(StorageError::NoSuchObject(oid));
             };
-            if before.first() == Some(&TAG_TOMBSTONE) {
-                return Err(StorageError::NoSuchObject(oid));
-            }
-            let mut tomb = before.clone();
-            tomb[0] = TAG_TOMBSTONE;
-            p.update(oid.slot(), &tomb)
+            self.keep_freed(txn, oid.page(), p, |p| p.delete(oid.slot()))
                 .map_err(|e| StorageError::Corrupt(format!("delete failed: {e:?}")))?;
             self.log_change(
                 p,
-                &LogRecord::CellUpdate {
+                &LogRecord::CellDelete {
                     txn: txn.0,
                     page: oid.page(),
                     slot: oid.slot(),
-                    data: Cow::Owned(tomb),
                     before: Cow::Borrowed(&before),
                 },
             );
@@ -1568,14 +1505,13 @@ impl Storage {
         })??;
         self.txns.push_undo(
             txn,
-            UndoOp::UndoUpdate {
+            UndoOp::UndoDelete {
                 page: oid.page(),
                 slot: oid.slot(),
                 before,
             },
         )?;
-        self.txns.note_pending_delete(txn, oid)?;
-        Ok(())
+        self.note_space(oid.page())
     }
 
     fn raw_read(&self, oid: Oid) -> Result<Vec<u8>> {
@@ -1664,15 +1600,12 @@ impl Storage {
                 let cell = self.raw_read(target)?;
                 match cell.first() {
                     Some(&TAG_MOVED_DATA) | Some(&TAG_MOVED_OVF_HEAD) => Ok((target, cell)),
-                    Some(&TAG_TOMBSTONE) => Err(StorageError::NoSuchObject(oid)),
                     _ => Err(StorageError::Corrupt(format!(
                         "forward stub at {oid} points at a non-moved cell"
                     ))),
                 }
             }
             Some(&TAG_DATA) | Some(&TAG_OVF_HEAD) => Ok((oid, cell)),
-            // Deleted by a still-active transaction: logically gone.
-            Some(&TAG_TOMBSTONE) => Err(StorageError::NoSuchObject(oid)),
             Some(&TAG_MOVED_DATA) | Some(&TAG_MOVED_OVF_HEAD) | Some(&TAG_OVF_CHUNK) => Err(
                 StorageError::Corrupt(format!("oid {oid} addresses a secondary cell")),
             ),
@@ -1805,7 +1738,8 @@ impl Storage {
             self.versions
                 .seed(oid.to_u64(), cluster, txn, self.cell_data(&old_cell)?);
         }
-        // Free old overflow chunks first so their space is reusable.
+        // Free the old overflow chunks. Their bytes stay this
+        // transaction's until it ends, so the new chunks go elsewhere.
         self.free_secondary(txn, &old_cell)?;
         let moved = phys != oid;
         let new_cell = self.build_cell(txn, cluster, data, moved)?;
@@ -1838,7 +1772,7 @@ impl Storage {
         self.locks
             .lock(txn, LockKey::Object(oid.to_u64()), LockMode::Exclusive)?;
         let (phys, cell) = self.resolve(oid)?;
-        // Seed the committed value before tombstoning (first touch only).
+        // Seed the committed value before deleting (first touch only).
         if self.txns.track_dirty(txn, oid.to_u64())? {
             let cluster = self.cluster_of(oid.page())?;
             self.versions
@@ -2617,6 +2551,162 @@ mod tests {
                         && m.contains("freed bytes and slots stay with their transaction")),
                 "{err:?}"
             );
+        }
+    }
+
+    /// Every record in `dir`'s log, after flushing `s`'s tail, minus
+    /// page images.
+    fn logged_changes(s: &Storage, dir: &TempDir) -> Vec<LogRecord<'static>> {
+        s.wal.as_ref().unwrap().flush().unwrap();
+        Wal::read_all(&dir.path().join("wal.log"))
+            .unwrap()
+            .into_iter()
+            .map(|(_, record)| record)
+            .filter(|record| !matches!(record, LogRecord::PageImage { .. }))
+            .collect()
+    }
+
+    #[test]
+    fn a_committed_free_logs_one_cell_delete_and_its_commit_nothing_more() {
+        for options in [StorageOptions::default(), StorageOptions::memory()] {
+            let dir = TempDir::new("store");
+            let s = Storage::create(dir.path(), options).unwrap();
+            let t = s.begin().unwrap();
+            let c = s.create_cluster(t).unwrap();
+            let oid = s.allocate(t, c, b"doomed").unwrap();
+            s.commit(t).unwrap();
+            let start = logged_changes(&s, &dir).len();
+            let t = s.begin().unwrap();
+            s.free(t, oid).unwrap();
+            let freed = logged_changes(&s, &dir);
+            assert!(
+                matches!(
+                    &freed[start..],
+                    [LogRecord::Begin { .. }, LogRecord::CellDelete { page, slot, before, .. }]
+                        if Oid::new(*page, *slot) == oid && before[1..] == b"doomed"[..]
+                ),
+                "{:?}",
+                &freed[start..]
+            );
+            s.commit(t).unwrap();
+            let committed = logged_changes(&s, &dir);
+            assert_eq!(committed[freed.len()..], [LogRecord::Commit { txn: t.0 }]);
+            let t = s.begin().unwrap();
+            assert!(matches!(s.read(t, oid), Err(StorageError::NoSuchObject(_))));
+            s.commit(t).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_freed_oid_is_not_issued_again_before_its_delete_commits() {
+        for options in [StorageOptions::default(), StorageOptions::memory()] {
+            let dir = TempDir::new("store");
+            let s = Storage::create(dir.path(), options).unwrap();
+            // Fill the cluster's first page with 200-byte records and
+            // start a second.
+            let t = s.begin().unwrap();
+            let c = s.create_cluster(t).unwrap();
+            let first = s.allocate(t, c, &[1u8; 200]).unwrap();
+            while s.allocate(t, c, &[1u8; 200]).unwrap().page() == first.page() {}
+            s.commit(t).unwrap();
+            let freed = Oid::new(first.page(), 3);
+            // The deleter allocates until it reaches a page it did not see.
+            let t = s.begin().unwrap();
+            s.free(t, freed).unwrap();
+            let pages = s.cluster_page_list(c);
+            let mut reached_new_page = false;
+            for _ in 0..100 {
+                let oid = s.allocate(t, c, &[2u8; 200]).unwrap();
+                assert_ne!(oid, freed, "a live delete's Oid was issued again");
+                if !pages.contains(&oid.page()) {
+                    reached_new_page = true;
+                    break;
+                }
+            }
+            assert!(reached_new_page);
+            s.commit(t).unwrap();
+            // Once the delete commits its slot is anyone's: the first
+            // insert that lands on its page takes it.
+            let t = s.begin().unwrap();
+            let reused = (0..100)
+                .map(|_| s.allocate(t, c, &[3u8; 200]).unwrap())
+                .find(|oid| oid.page() == freed.page());
+            assert_eq!(reused, Some(freed));
+            assert_eq!(s.read(t, freed).unwrap(), vec![3u8; 200]);
+            s.commit(t).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_log_with_tombstoned_deletes_opens_with_no_tombstone_left() {
+        // A log an engine that deleted in two phases wrote: a delete first
+        // rewrote the cell's tag byte to 6 (a CellUpdate), and its commit
+        // removed the cell (a CellDelete) just ahead of the Commit record.
+        // Winner 100 deleted `w` and committed; loser 101 only tombstoned
+        // `l`. Replay needs no knowledge of tag 6: the winner's cell goes,
+        // and the loser's undo writes its cell's before-image back.
+        const OLD_TOMBSTONE: u8 = 6;
+        for options in [StorageOptions::default(), StorageOptions::memory()] {
+            let dir = TempDir::new("store");
+            let (c, w, l) = {
+                let s = Storage::create(dir.path(), options.clone()).unwrap();
+                let t = s.begin().unwrap();
+                let c = s.create_cluster(t).unwrap();
+                let w = s.allocate(t, c, b"winner").unwrap();
+                let l = s.allocate(t, c, b"loser").unwrap();
+                s.commit(t).unwrap();
+                s.close().unwrap();
+                (c, w, l)
+            };
+            let cell = |data: &[u8]| [&[TAG_DATA][..], data].concat();
+            let tomb = |data: &[u8]| [&[OLD_TOMBSTONE][..], data].concat();
+            let wal = Wal::open_with(&dir.path().join("wal.log"), false, None).unwrap();
+            for record in [
+                LogRecord::Begin { txn: 100 },
+                LogRecord::CellUpdate {
+                    txn: 100,
+                    page: w.page(),
+                    slot: w.slot(),
+                    data: Cow::Owned(tomb(b"winner")),
+                    before: Cow::Owned(cell(b"winner")),
+                },
+                LogRecord::Begin { txn: 101 },
+                LogRecord::CellUpdate {
+                    txn: 101,
+                    page: l.page(),
+                    slot: l.slot(),
+                    data: Cow::Owned(tomb(b"loser")),
+                    before: Cow::Owned(cell(b"loser")),
+                },
+                LogRecord::CellDelete {
+                    txn: 100,
+                    page: w.page(),
+                    slot: w.slot(),
+                    before: Cow::Owned(tomb(b"winner")),
+                },
+                LogRecord::Commit { txn: 100 },
+            ] {
+                wal.append(&record);
+            }
+            wal.flush().unwrap();
+            drop(wal);
+            let s = Storage::open(dir.path(), options).unwrap();
+            let t = s.begin().unwrap();
+            assert!(matches!(s.read(t, w), Err(StorageError::NoSuchObject(_))));
+            assert_eq!(s.read(t, l).unwrap(), b"loser");
+            assert_eq!(s.scan_cluster(t, c).unwrap(), vec![l]);
+            s.commit(t).unwrap();
+            for page in 1..s.page_count() {
+                let tombstones = s
+                    .store
+                    .with_page(page, |p| {
+                        p.occupied_cells()
+                            .filter(|(_, cell)| cell.first() == Some(&OLD_TOMBSTONE))
+                            .count()
+                    })
+                    .unwrap();
+                assert_eq!(tombstones, 0, "page {page} kept a tombstone");
+            }
         }
     }
 
@@ -3411,7 +3501,7 @@ mod tests {
         let w = s.begin().unwrap();
         s.free(w, oid).unwrap();
         s.commit(w).unwrap();
-        // The cell is physically purged, but the chain still answers.
+        // The cell is physically deleted, but the chain still answers.
         assert_eq!(s.read(r, oid).unwrap(), b"doomed");
         assert_eq!(s.scan_cluster(r, cluster).unwrap(), vec![oid]);
         s.commit(r).unwrap();

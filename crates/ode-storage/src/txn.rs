@@ -30,7 +30,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::hash::{IntMap, IntSet};
-use crate::oid::{Oid, PageId};
+use crate::oid::PageId;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -80,12 +80,10 @@ pub enum UndoOp {
 struct TxnRecord {
     system: bool,
     undo: Vec<UndoOp>,
-    /// Cells tombstoned by this transaction's deletes, physically removed
-    /// at commit (their slots and bytes stay reserved until then so the
-    /// deletes remain undoable and no concurrent insert can take the Oid).
-    pending_deletes: Vec<Oid>,
     /// Bytes this transaction freed on each page, counted as used by
     /// every other transaction until it ends: its undo may need them back.
+    /// No insert, its own included, lands on such a page meanwhile, so a
+    /// slot its delete freed is not issued again before the delete ends.
     held: IntMap<PageId, usize>,
     /// Transactions this one may only commit after (commit dependencies).
     depends_on: Vec<TxnId>,
@@ -98,10 +96,6 @@ struct TxnRecord {
     /// fuzzy checkpointer's truncation horizon must stay behind the
     /// minimum of these across active transactions.
     first_lsn: Option<u64>,
-    /// LSN of this transaction's Commit record, recorded at commit time so
-    /// durability waits (`flushed_lsn >= commit_lsn`) can be ordered after
-    /// dependency release.
-    commit_lsn: Option<u64>,
     /// Primary Oids (as `u64`) whose pages this transaction has mutated —
     /// the write set whose committed values the version store installs at
     /// commit (or unpins on abort).
@@ -120,12 +114,10 @@ impl TxnRecord {
         TxnRecord {
             system,
             undo: Vec::new(),
-            pending_deletes: Vec::new(),
             held: IntMap::default(),
             depends_on: Vec::new(),
             logged: false,
             first_lsn: None,
-            commit_lsn: None,
             dirty: IntSet::default(),
             snapshot: None,
             read_barrier: None,
@@ -246,23 +238,6 @@ impl TxnManager {
             .unwrap_or_default()
     }
 
-    /// Record a cell tombstoned by `txn`, to be physically deleted at
-    /// commit.
-    pub fn note_pending_delete(&self, txn: TxnId, oid: Oid) -> Result<()> {
-        self.table.lock().active_mut(txn)?.pending_deletes.push(oid);
-        Ok(())
-    }
-
-    /// Drain the cells awaiting physical deletion at `txn`'s commit.
-    pub fn take_pending_deletes(&self, txn: TxnId) -> Vec<Oid> {
-        self.table
-            .lock()
-            .live
-            .get_mut(&txn)
-            .map(|r| std::mem::take(&mut r.pending_deletes))
-            .unwrap_or_default()
-    }
-
     /// Keep `bytes` that `txn` just freed on `page` as its own until it ends
     /// (called under the page latch, so no one claims them in between).
     pub(crate) fn hold(&self, txn: TxnId, page: PageId, bytes: usize) {
@@ -314,18 +289,6 @@ impl TxnManager {
     /// Whether `txn` has written any WAL records (false ⇒ read-only so far).
     pub fn has_logged(&self, txn: TxnId) -> bool {
         self.table.lock().live.get(&txn).is_some_and(|r| r.logged)
-    }
-
-    /// Record the LSN of `txn`'s Commit record.
-    pub fn set_commit_lsn(&self, txn: TxnId, lsn: u64) {
-        if let Some(rec) = self.table.lock().live.get_mut(&txn) {
-            rec.commit_lsn = Some(lsn);
-        }
-    }
-
-    /// LSN of `txn`'s Commit record, if it has been appended.
-    pub fn commit_lsn(&self, txn: TxnId) -> Option<u64> {
-        self.table.lock().live.get(&txn).and_then(|r| r.commit_lsn)
     }
 
     /// Add `oid` to `txn`'s MVCC write set. Returns `true` on the first
@@ -584,9 +547,6 @@ mod tests {
         assert!(tm.has_logged(t));
         // The first LSN is pinned by the first call; later calls are no-ops.
         assert_eq!(tm.active_logged_first_lsns(), vec![(t.0, 17)]);
-        assert_eq!(tm.commit_lsn(t), None);
-        tm.set_commit_lsn(t, 42);
-        assert_eq!(tm.commit_lsn(t), Some(42));
     }
 
     #[test]
